@@ -47,6 +47,7 @@ from attackcf.similarity import (
     UndefinedSimilarityError,
     common_vulnerabilities,
     pcc,
+    same_type,
     similarity_matrix,
 )
 from attackcf.prediction import (
@@ -54,7 +55,6 @@ from attackcf.prediction import (
     classify_pair,
     predict,
     rearrange,
-    same_type,
 )
 from attackcf.bench import BenchRecord, SynthSpec, generate, run_bench
 

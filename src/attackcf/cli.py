@@ -2,13 +2,12 @@
 
 Subcommands: discover, predict, bench, export-dot.  Exit codes are stable:
 0 success, 1 data/validation error, 2 usage error (bad flags, unreadable
-files, invalid benchmark spec).
+files, invalid benchmark spec, unavailable ATTACKCF_BACKEND).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from attackcf.bench import (
     write_bench_csv,
 )
 from attackcf.discovery import discover
-from attackcf.ingest import IngestError, load_bundle, load_model
+from attackcf.ingest import IngestError, _rows, load_bundle, load_model
 from attackcf.model import validate_model
 from attackcf.prediction import predict
 from attackcf.report import (
@@ -119,18 +118,11 @@ def _cmd_predict(args) -> int:
 
 def _load_matrix(path):
     cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if line_no == 1 or not row:
-                continue
-            if len(row) != 4:
-                raise IngestError(f"{path}:{line_no}: matrix row needs 4 fields")
-            capability, prop_len, n_entry, n_target = (f.strip() for f in row)
-            try:
-                cells.append((capability, int(prop_len), int(n_entry), int(n_target)))
-            except ValueError:
-                raise IngestError(f"{path}:{line_no}: malformed matrix row") from None
+    for line_no, (capability, prop_len, n_entry, n_target) in _rows(path, 4, "matrix"):
+        try:
+            cells.append((capability, int(prop_len), int(n_entry), int(n_target)))
+        except ValueError:
+            raise IngestError(f"{path}:{line_no}: malformed matrix row") from None
     if not cells:
         raise IngestError(f"{path}: empty benchmark matrix")
     return tuple(cells)
@@ -186,6 +178,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _kernels.default_backend()
+    except ValueError as exc:  # a bad ATTACKCF_BACKEND is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from attackcf import _kernels
 from attackcf.model import (
     AssetGraph,
@@ -36,24 +34,6 @@ class DiscoveryResult:
     affected_assets: frozenset[str]
     graph: AssetGraph
     no_eligible_entries: bool = False
-
-
-class _Csr:
-    """CSR adjacency of an AssetGraph, node indices in sorted-id order."""
-
-    def __init__(self, graph: AssetGraph):
-        self.ids = sorted(a.id for a in graph.assets)
-        self.index = {aid: i for i, aid in enumerate(self.ids)}
-        n = len(self.ids)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        rows: list[int] = []
-        succ = graph.successors
-        for i, aid in enumerate(self.ids):
-            neighbors = sorted(self.index[d] for d in succ.get(aid, ()))
-            rows.extend(neighbors)
-            indptr[i + 1] = len(rows)
-        self.indptr = indptr
-        self.indices = np.asarray(rows, dtype=np.int64)
 
 
 def _require_asset(graph: AssetGraph, asset_id: str) -> None:
@@ -84,7 +64,7 @@ def shortest_path_lengths(
 ) -> dict[str, int]:
     """BFS distances in edge count from source; unreachable assets are absent."""
     _require_asset(graph, source)
-    csr = _Csr(graph)
+    csr = graph.adjacency
     dist = _kernels.bfs_lengths(csr.indptr, csr.indices, csr.index[source], backend)
     return {csr.ids[i]: int(d) for i, d in enumerate(dist) if d >= 0}
 
@@ -106,14 +86,9 @@ def enumerate_simple_paths(
         raise ValueError(f"entry and target must differ, got {entry!r} for both")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    csr = _Csr(graph)
-    return _paths_from_csr(csr, csr.index[entry], csr.index[target], max_len, backend)
-
-
-def _paths_from_csr(csr: _Csr, src: int, dst: int, max_len: int,
-                    backend: str | None) -> list[AttackPath]:
-    flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, src, dst,
-                                       max_len, backend)
+    csr = graph.adjacency
+    flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[entry],
+                                       csr.index[target], max_len, backend)
     out: list[AttackPath] = []
     pos = 0
     for ln in lens:
@@ -134,9 +109,9 @@ def discover(
     toggles the shortest-path distance pre-filter on (entry, target)
     pairs; it never changes the result, only skips hopeless enumerations.
     """
-    ids = set(graph.asset_by_id)
-    entries = sorted(config.entry_points & ids)
-    targets = sorted(config.target_points & ids)
+    csr = graph.adjacency
+    entries = sorted(config.entry_points & csr.index.keys())
+    targets = sorted(config.target_points & csr.index.keys())
     if not entries:
         raise ValueError("no configured entry point exists in the graph")
     if not targets:
@@ -155,7 +130,6 @@ def discover(
             no_eligible_entries=True,
         )
 
-    csr = _Csr(graph)
     max_len = config.propagation_length
     found: list[AttackPath] = []
     for e in eligible:
@@ -171,7 +145,7 @@ def discover(
             dst = csr.index[t]
             if dist is not None and not 0 <= dist[dst] <= max_len:
                 continue
-            found.extend(_paths_from_csr(csr, src, dst, max_len, backend))
+            found.extend(enumerate_simple_paths(graph, e, t, max_len, backend))
 
     unique = sorted(set(found), key=lambda p: p.nodes)
     affected = frozenset(n for p in unique for n in p.nodes)

@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 
 class AssetKind(Enum):
@@ -84,6 +87,16 @@ class VulnerabilityInstance:
                 self.vuln_type.value, self.required_location, self.required_capability)
 
 
+class Adjacency(NamedTuple):
+    """CSR adjacency over the sorted asset ids: node i is ids[i] (index maps back),
+    its successors are indices[indptr[i]:indptr[i + 1]] in ascending order."""
+
+    ids: tuple[str, ...]
+    index: dict[str, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
 @dataclass(frozen=True)
 class AssetGraph:
     """Immutable asset graph: assets, vulnerability instances, reachability edges.
@@ -124,11 +137,14 @@ class AssetGraph:
         return {k: tuple(vs) for k, vs in grouped.items()}
 
     @cached_property
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        nxt: dict[str, list[str]] = {a.id: [] for a in self.assets}
-        for src, dst in self.edges:
-            nxt.setdefault(src, []).append(dst)
-        return {k: tuple(sorted(ws)) for k, ws in nxt.items()}
+    def adjacency(self) -> Adjacency:
+        # edges sort by (src, dst), so each source's row is contiguous and ascending
+        ids = tuple(sorted(self.asset_by_id))
+        index = {aid: i for i, aid in enumerate(ids)}
+        src = np.fromiter((index[s] for s, _ in self.edges), np.int64, len(self.edges))
+        indices = np.fromiter((index[d] for _, d in self.edges), np.int64, len(self.edges))
+        indptr = np.searchsorted(src, np.arange(len(ids) + 1)).astype(np.int64)
+        return Adjacency(ids, index, indptr, indices)
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.asset_by_id
@@ -169,7 +185,7 @@ class DiscoveryConfig:
             raise ValueError("entry_points must not be empty")
         if not self.target_points:
             raise ValueError("target_points must not be empty")
-        if not isinstance(propagation_length, int) or propagation_length < 1:
+        if type(propagation_length) is not int or propagation_length < 1:
             raise ValueError(
                 f"propagation_length must be a positive integer, got {propagation_length!r}"
             )
@@ -222,7 +238,7 @@ class PredictionConfig:
 
     def __post_init__(self):
         xs = (self.x1, self.x2, self.x3, self.x4)
-        if any(not isinstance(x, int) for x in xs):
+        if any(type(x) is not int for x in xs):  # bool is an int subclass
             raise ValueError(f"thresholds must be integers, got {xs}")
         if not (self.x1 > self.x2 > self.x3 > self.x4 >= 0):
             raise ValueError(

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from attackcf.discovery import DiscoveryResult
 from attackcf.model import AssetGraph, Classification, Prediction, PredictionConfig
-from attackcf.similarity import similarity_matrix
+from attackcf.similarity import _similarities
+from attackcf.similarity import same_type  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,6 @@ class PredictionReport:
 
     predictions: tuple[Prediction, ...]
     config_echo: PredictionConfig
-
-
-def same_type(a: str, b: str, graph: AssetGraph) -> bool:
-    """True when some CVE shared by a and b carries the same CWE id on both.
-
-    Absent CWE data never certifies agreement.
-    """
-    if a == b:
-        raise ValueError(f"assets must differ, got {a!r} for both")
-    cwe_a = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(a, ())}
-    cwe_b = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(b, ())}
-    for cve in cwe_a.keys() & cwe_b.keys():
-        if cwe_a[cve] is not None and cwe_a[cve] == cwe_b[cve]:
-            return True
-    return False
 
 
 def classify_pair(
@@ -96,8 +82,7 @@ def predict(
     path_endpoints = {(p.entry, p.target) for p in paths.paths}
 
     predictions: list[Prediction] = []
-    for sim in similarity_matrix(graph):
-        agree = same_type(sim.a, sim.b, graph)
+    for sim, agree in _similarities(graph):
         base = classify_pair(sim.co_rated, agree, config)
         for src, dst in ((sim.a, sim.b), (sim.b, sim.a)):
             pred = Prediction(

@@ -194,6 +194,19 @@ class TestBenchCommand:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("body, message", [
+        ("High,2,3\n", ":2: matrix row needs 4 fields, got 3"),
+        ("High,2,3,3\nHigh,two,3,3\n", ":3: malformed matrix row"),
+        ("", ": empty benchmark matrix"),
+    ])
+    def test_bad_matrix_file_is_data_error(self, tmp_path, capsys, body, message):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("capability,propagation_length,n_entry,n_target\n" + body)
+        rc = main(["bench", *self.BENCH_FLAGS, "--matrix", str(matrix),
+                   "--out", str(tmp_path / "bench.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {matrix}{message}\n"
+
     def test_both_backends_compare(self, tmp_path, capsys):
         # 'both' times every installed backend: numba and python where numba
         # imports, python alone (with a note on stderr) where it does not
@@ -252,6 +265,17 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["discover", "bench"])
+def test_unknown_backend_setting_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("ATTACKCF_BACKEND", "nonsense")
+    out = tmp_path / "out.txt"
+    flags = (_demo_flags(out) if command == "discover"
+             else [*TestBenchCommand.BENCH_FLAGS, "--out", str(out)])
+    assert main([command, *flags]) == 2
+    assert "ATTACKCF_BACKEND='nonsense' is not available" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_accepted_everywhere(tmp_path):

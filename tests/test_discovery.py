@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from attackcf import _kernels
 from attackcf.discovery import (
     discover,
     entry_eligible,
@@ -158,6 +159,25 @@ class TestDiscover:
         config = DiscoveryConfig({"Z1"}, {"A1"}, AttackerProfile(3, 3), 1)
         with pytest.raises(ValueError, match="entry"):
             discover(office, config)
+
+    def test_all_traversals_share_one_adjacency(self, office, monkeypatch):
+        seen = []
+
+        def recording(kernel):
+            def wrapper(indptr, indices, *args, **kwargs):
+                seen.append((indptr, indices))
+                return kernel(indptr, indices, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_kernels, "bfs_lengths", recording(_kernels.bfs_lengths))
+        monkeypatch.setattr(_kernels, "simple_paths", recording(_kernels.simple_paths))
+        discover(office, office_config(propagation_length=3))
+        shortest_path_lengths(office, "A1")
+        enumerate_simple_paths(office, "A1", "A3", 2)
+        adj = office.adjacency
+        assert len(seen) > 3
+        assert all(indptr is adj.indptr and indices is adj.indices
+                   for indptr, indices in seen)
 
     def test_complete_digraph_matches_oracle(self, backend):
         nodes = [f"N{i}" for i in range(5)]

@@ -112,13 +112,22 @@ class TestAssetGraph:
         g2 = AssetGraph([b, a], [v], [("A1", "A2"), ("A1", "A2")])
         assert g1 == g2
 
-    def test_successors_sorted(self):
+    def test_adjacency_rows_sorted(self):
         g = AssetGraph(
-            assets=[Asset(x, x, AssetKind.HARDWARE) for x in ("A1", "A2", "A3")],
+            assets=[Asset(x, x, AssetKind.HARDWARE) for x in ("A3", "A1", "A2")],
             edges={("A1", "A3"), ("A1", "A2")},
         )
-        assert g.successors["A1"] == ("A2", "A3")
-        assert g.successors["A3"] == ()
+        adj = g.adjacency
+        assert adj.ids == ("A1", "A2", "A3")
+        assert adj.index == {"A1": 0, "A2": 1, "A3": 2}
+
+        def row(aid):
+            i = adj.index[aid]
+            return tuple(adj.ids[j] for j in adj.indices[adj.indptr[i]:adj.indptr[i + 1]])
+
+        assert row("A1") == ("A2", "A3")
+        assert row("A3") == ()
+        assert g.adjacency is adj
 
 
 class TestClassification:
@@ -157,11 +166,21 @@ class TestConfigInvariants:
         with pytest.raises(ValueError):
             DiscoveryConfig({"A1"}, {"A2"}, attacker, 0)
 
+    def test_discovery_config_rejects_bool_length(self):
+        # bool is a subclass of int, so True would pass as a length of 1
+        with pytest.raises(ValueError, match="propagation_length"):
+            DiscoveryConfig({"A1"}, {"A2"}, AttackerProfile(3, 3), True)
+
     def test_prediction_config_must_descend(self):
         PredictionConfig(4, 2, 1, 0)
         for xs in [(2, 3, 1, 0), (4, 4, 1, 0), (3, 2, 1, -1)]:
             with pytest.raises(ValueError):
                 PredictionConfig(*xs)
+
+    def test_prediction_config_rejects_bool_thresholds(self):
+        # descending as ints (4 > 2 > 1 > 0), rejected only for the bools
+        with pytest.raises(ValueError, match="integers"):
+            PredictionConfig(4, 2, True, False)
 
 
 class TestAttackPath:

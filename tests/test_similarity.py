@@ -2,12 +2,25 @@ import random
 
 import pytest
 
-from attackcf.model import Asset, AssetGraph, AssetKind, VulnType, VulnerabilityInstance
+from attackcf.discovery import DiscoveryResult
+from attackcf.model import (
+    Asset,
+    AssetGraph,
+    AssetKind,
+    AttackPath,
+    Classification,
+    Prediction,
+    PredictionConfig,
+    VulnType,
+    VulnerabilityInstance,
+)
+from attackcf.prediction import classify_pair, predict, rearrange
 from attackcf.similarity import (
     PairSimilarity,
     UndefinedSimilarityError,
     common_vulnerabilities,
     pcc,
+    same_type,
     similarity_matrix,
 )
 
@@ -182,3 +195,86 @@ class TestSimilarityMatrix:
                 [(sb, sa) for _, sa, sb in common_vulnerabilities(s.a, s.b, office)]
             )
             assert direct == flipped == s.value
+
+
+def _vuln(cve, asset, score, cwe):
+    return VulnerabilityInstance(
+        cve_id=cve, asset=asset, score=score, cwe_id=cwe,
+        vuln_type=VulnType.XSS, required_location=1, required_capability=1,
+    )
+
+
+def _random_case(rng: random.Random):
+    """Graph with duplicate (cve, asset) records, None CWEs and CVEs on
+    unknown assets, plus random direct attack paths between its assets."""
+    assets = [f"A{i}" for i in range(rng.randint(2, 7))]
+    holders = assets + ["GHOST1", "GHOST2"]
+    vulns = []
+    for cve in (f"C{i}" for i in range(rng.randint(1, 6))):
+        for asset in rng.sample(holders, rng.randint(0, len(holders))):
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                vulns.append(_vuln(cve, asset, float(rng.randint(0, 4)),
+                                   rng.choice(("CWE-1", "CWE-2", None))))
+    graph = AssetGraph([Asset(a, a, AssetKind.HARDWARE) for a in assets], vulns)
+    paths = tuple(
+        AttackPath((a, b)) for a in assets for b in assets if a != b and rng.random() < 0.3
+    )
+    result = DiscoveryResult(paths=paths, affected_assets=frozenset(assets), graph=graph)
+    return graph, result
+
+
+class TestSharedCvePass:
+    """similarity_matrix and predict against the per-pair functions on every pair."""
+
+    def test_matches_per_pair_reference(self):
+        rng = random.Random(21)
+        config = PredictionConfig(3, 2, 1, 0)
+        saw_duplicate = False
+        for _ in range(200):
+            graph, result = _random_case(rng)
+            ids = sorted(a.id for a in graph.assets)
+            keys = [(v.cve_id, v.asset) for v in graph.vulnerabilities]
+            saw_duplicate |= len(keys) != len(set(keys))
+            sims, preds = [], []
+            for i, a in enumerate(ids):
+                for b in ids[i + 1:]:
+                    shared = common_vulnerabilities(a, b, graph)
+                    if not shared:
+                        continue
+                    if len(shared) == 1:
+                        value, degenerate = 0.0, False
+                    else:
+                        value, degenerate = pcc([(sa, sb) for _, sa, sb in shared])
+                    sims.append(PairSimilarity(a, b, value, len(shared), degenerate))
+                    level = classify_pair(len(shared), same_type(a, b, graph), config)
+                    preds += [
+                        rearrange(Prediction(src, dst, level, value, len(shared),
+                                             degenerate), result)
+                        for src, dst in ((a, b), (b, a))
+                    ]
+            preds.sort(key=lambda p: (-p.level, p.src, p.dst))
+            assert similarity_matrix(graph) == sims
+            assert predict(graph, result, config).predictions == tuple(preds)
+        assert saw_duplicate
+
+    def test_last_sorted_duplicate_record_wins(self):
+        # X carries C1 twice (scores differ) and C2 twice (CWEs differ); the
+        # record that sorts last by VulnerabilityInstance._sort_key is used
+        x_records = [_vuln("C1", "X", 8.0, "CWE-1"), _vuln("C1", "X", 2.0, "CWE-7"),
+                     _vuln("C2", "X", 4.0, "CWE-2"), _vuln("C2", "X", 4.0, "CWE-1")]
+        g = AssetGraph(
+            [Asset(a, a, AssetKind.HARDWARE) for a in ("X", "Y")],
+            x_records + [_vuln("C1", "Y", 5.0, "CWE-9"), _vuln("C2", "Y", 1.0, "CWE-2")],
+        )
+        last = {cve: max((v for v in x_records if v.cve_id == cve),
+                         key=VulnerabilityInstance._sort_key) for cve in ("C1", "C2")}
+        assert (last["C1"].score, last["C2"].cwe_id) == (8.0, "CWE-2")
+        assert common_vulnerabilities("X", "Y", g) == [("C1", 8.0, 5.0), ("C2", 4.0, 1.0)]
+        assert same_type("X", "Y", g)  # only C2's last record agrees with Y
+        value, degenerate = pcc([(8.0, 5.0), (4.0, 1.0)])
+        assert similarity_matrix(g) == [PairSimilarity("X", "Y", value, 2, degenerate)]
+        empty = DiscoveryResult(paths=(), affected_assets=frozenset(), graph=g)
+        report = predict(g, empty, PredictionConfig(3, 2, 1, 0))
+        # 2 shared CVEs with agreeing types: HIGH, not the MEDIUM of disagreement
+        assert [(p.level, p.co_rated, p.similarity) for p in report.predictions] == [
+            (Classification.HIGH, 2, value)] * 2
