@@ -1,8 +1,8 @@
 """Hot graph kernels with interchangeable numba and pure-Python backends.
 
-Both backends run the same function bodies over CSR adjacency arrays
-(indptr: int64[n+1], indices: int64[nnz], neighbor indices sorted within
-each row).  The numba backend is the default whenever numba imports
+Both backends run the same two function bodies, a multi-source BFS and a
+simple-path DFS towards a target mask, over CSR adjacency arrays (indptr:
+int64[n+1], indices: int64[nnz], neighbor indices sorted within each row).  The numba backend is the default whenever numba imports
 cleanly; set ATTACKCF_BACKEND=python (or =numba) to force one.  Outputs
 are bit-identical across backends.
 """
@@ -16,19 +16,25 @@ import numpy as np
 _ENV_VAR = "ATTACKCF_BACKEND"
 
 
-def _bfs_lengths(indptr, indices, src):
-    # single-source BFS over directed CSR edges; -1 marks unreachable
+def _bfs_lengths(indptr, indices, sources, max_depth):
+    # multi-source BFS over directed CSR edges: dist[v] is the edge count
+    # from the nearest source; -1 marks unreachable or, when max_depth >= 0,
+    # farther than max_depth
     n = indptr.shape[0] - 1
     dist = np.full(n, -1, dtype=np.int64)
     queue = np.empty(n, dtype=np.int64)
     head = 0
     tail = 0
-    dist[src] = 0
-    queue[tail] = src
-    tail += 1
+    for s in sources:
+        if dist[s] < 0:
+            dist[s] = 0
+            queue[tail] = s
+            tail += 1
     while head < tail:
         v = queue[head]
         head += 1
+        if max_depth >= 0 and dist[v] >= max_depth:
+            continue
         for e in range(indptr[v], indptr[v + 1]):
             w = indices[e]
             if dist[w] < 0:
@@ -38,11 +44,12 @@ def _bfs_lengths(indptr, indices, src):
     return dist
 
 
-def _simple_paths(indptr, indices, src, dst, max_edges):
-    # Iterative DFS enumerating every simple path src->dst with at most
-    # max_edges edges.  Because neighbor indices are sorted per row, paths
-    # come out in lexicographic node-sequence order.  Paths are packed into
-    # a flat buffer (grown by doubling); lens[i] is the node count of path i.
+def _simple_paths(indptr, indices, src, is_target, to_target, max_edges):
+    # Iterative DFS from src that records a path each time it steps onto a
+    # target and keeps going past it (see simple_paths for the bound).
+    # Because neighbor indices are sorted per row, paths come out in
+    # lexicographic node-sequence order.  Paths are packed into a flat
+    # buffer (grown by doubling); lens[i] is the node count of path i.
     n = indptr.shape[0] - 1
     on_path = np.zeros(n, dtype=np.bool_)
     nodes = np.empty(max_edges + 1, dtype=np.int64)
@@ -62,8 +69,9 @@ def _simple_paths(indptr, indices, src, dst, max_edges):
             eptr[depth] += 1
             if on_path[w]:
                 continue
-            if w == dst:
-                need = depth + 2
+            d = depth + 1
+            if is_target[w]:
+                need = d + 1
                 while used + need > flat.shape[0]:
                     grown = np.empty(flat.shape[0] * 2, dtype=np.int64)
                     grown[:used] = flat[:used]
@@ -72,14 +80,14 @@ def _simple_paths(indptr, indices, src, dst, max_edges):
                     grown2 = np.empty(lens.shape[0] * 2, dtype=np.int64)
                     grown2[:n_paths] = lens[:n_paths]
                     lens = grown2
-                for i in range(depth + 1):
+                for i in range(d):
                     flat[used + i] = nodes[i]
-                flat[used + depth + 1] = dst
+                flat[used + d] = w
                 used += need
                 lens[n_paths] = need
                 n_paths += 1
-            elif depth + 1 < max_edges:
-                depth += 1
+            if d < max_edges and to_target[w] >= 0 and d + to_target[w] <= max_edges:
+                depth = d
                 nodes[depth] = w
                 eptr[depth] = indptr[w]
                 on_path[w] = True
@@ -130,20 +138,33 @@ def _resolve(backend: str | None):
         ) from None
 
 
-def bfs_lengths(indptr, indices, src: int, backend: str | None = None):
-    """Distances (edge counts) from src to every node; -1 for unreachable."""
-    return _resolve(backend)[0](indptr, indices, np.int64(src))
+def bfs_lengths(indptr, indices, sources, max_depth: int | None = None,
+                backend: str | None = None):
+    """Edge counts from the nearest of sources (one index or an array of them)
+    to every node; -1 for unreachable nodes and, unless max_depth is None,
+    for nodes farther than max_depth.  Pass the reverse CSR to get distances
+    to the sources instead."""
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    depth = -1 if max_depth is None else max_depth
+    return _resolve(backend)[0](indptr, indices, sources, np.int64(depth))
 
 
-def simple_paths(indptr, indices, src: int, dst: int, max_edges: int,
+def simple_paths(indptr, indices, src: int, is_target, to_target, max_edges: int,
                  backend: str | None = None):
-    """All simple paths src->dst up to max_edges edges, lexicographic order.
+    """All simple paths from src to any node flagged in is_target, up to
+    max_edges edges, in lexicographic order.
+
+    is_target is a bool[n] mask.  to_target (int64[n]) bounds the search: a
+    path of d edges ending at w is extended only if d < max_edges,
+    to_target[w] >= 0 and d + to_target[w] <= max_edges.  Distances to the
+    nearest target (bfs_lengths over the reverse CSR, bounded at max_edges)
+    prune without changing the result; all zeros prunes nothing.
 
     Returns (flat, lens): flat holds the concatenated node sequences and
     lens the per-path node counts.
     """
     return _resolve(backend)[1](
-        indptr, indices, np.int64(src), np.int64(dst), np.int64(max_edges)
+        indptr, indices, np.int64(src), is_target, to_target, np.int64(max_edges)
     )
 
 
@@ -151,5 +172,6 @@ def warm_up(backend: str | None = None) -> None:
     """Force kernel compilation so timed runs exclude JIT cost."""
     indptr = np.array([0, 1, 1], dtype=np.int64)
     indices = np.array([1], dtype=np.int64)
-    bfs_lengths(indptr, indices, 0, backend=backend)
-    simple_paths(indptr, indices, 0, 1, 1, backend=backend)
+    bfs_lengths(indptr, indices, 0, 1, backend=backend)
+    simple_paths(indptr, indices, 0, np.array([False, True]),
+                 np.zeros(2, dtype=np.int64), 1, backend=backend)

@@ -2,15 +2,20 @@
 
 An entry point is eligible when the configured attacker meets the location
 and capability requirements of at least one of its vulnerabilities of an
-allowed type.  For every eligible entry, targets are pruned by BFS
-shortest-path distance (a target farther than the propagation length can
-have no bounded path), then every simple path within the propagation
-length is enumerated.
+allowed type.  One reverse breadth-first search from the whole target set,
+stopped at the propagation length, gives every asset its distance to the
+nearest target.  Then one depth-first search per eligible entry enumerates
+the simple paths to every target at once: it records a path whenever it
+steps onto a target, keeps going past it, and never extends a partial path
+that could not reach a target within the propagation length (distance-
+bounded hop-constrained enumeration, as in BC-DFS, Peng et al., PVLDB 2019).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from attackcf import _kernels
 from attackcf.model import (
@@ -65,8 +70,19 @@ def shortest_path_lengths(
     """BFS distances in edge count from source; unreachable assets are absent."""
     _require_asset(graph, source)
     csr = graph.adjacency
-    dist = _kernels.bfs_lengths(csr.indptr, csr.indices, csr.index[source], backend)
+    dist = _kernels.bfs_lengths(csr.indptr, csr.indices, csr.index[source],
+                                backend=backend)
     return {csr.ids[i]: int(d) for i, d in enumerate(dist) if d >= 0}
+
+
+def _to_paths(ids: tuple[str, ...], flat, lens) -> list[AttackPath]:
+    names = [ids[i] for i in flat.tolist()]
+    out: list[AttackPath] = []
+    pos = 0
+    for ln in lens.tolist():
+        out.append(AttackPath(names[pos:pos + ln]))
+        pos += ln
+    return out
 
 
 def enumerate_simple_paths(
@@ -87,14 +103,14 @@ def enumerate_simple_paths(
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     csr = graph.adjacency
+    dst = csr.index[target]
+    is_target = np.zeros(len(csr.ids), dtype=np.bool_)
+    is_target[dst] = True
+    to_target = np.zeros(len(csr.ids), dtype=np.int64)
+    to_target[dst] = -1  # a simple path cannot return to its only target
     flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[entry],
-                                       csr.index[target], max_len, backend)
-    out: list[AttackPath] = []
-    pos = 0
-    for ln in lens:
-        out.append(AttackPath(csr.ids[i] for i in flat[pos:pos + ln]))
-        pos += ln
-    return out
+                                       is_target, to_target, max_len, backend)
+    return _to_paths(csr.ids, flat, lens)
 
 
 def discover(
@@ -106,8 +122,8 @@ def discover(
     """Enumerate every bounded attack path from eligible entries to targets.
 
     The graph is assumed structurally valid (see validate_model).  prune
-    toggles the shortest-path distance pre-filter on (entry, target)
-    pairs; it never changes the result, only skips hopeless enumerations.
+    bounds the search by each asset's distance to the nearest target; it
+    never changes the result, only skips hopeless branches.
     """
     csr = graph.adjacency
     entries = sorted(config.entry_points & csr.index.keys())
@@ -131,22 +147,20 @@ def discover(
         )
 
     max_len = config.propagation_length
+    target_ids = np.array([csr.index[t] for t in targets], dtype=np.int64)
+    is_target = np.zeros(len(csr.ids), dtype=np.bool_)
+    is_target[target_ids] = True
+    if prune:
+        to_target = _kernels.bfs_lengths(csr.rindptr, csr.rindices, target_ids,
+                                         max_len, backend)
+    else:
+        to_target = np.zeros(len(csr.ids), dtype=np.int64)
     found: list[AttackPath] = []
     for e in eligible:
-        src = csr.index[e]
-        dist = (
-            _kernels.bfs_lengths(csr.indptr, csr.indices, src, backend)
-            if prune
-            else None
-        )
-        for t in targets:
-            if t == e:
-                continue
-            dst = csr.index[t]
-            if dist is not None and not 0 <= dist[dst] <= max_len:
-                continue
-            found.extend(enumerate_simple_paths(graph, e, t, max_len, backend))
+        flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[e],
+                                           is_target, to_target, max_len, backend)
+        found.extend(_to_paths(csr.ids, flat, lens))
 
-    unique = sorted(set(found), key=lambda p: p.nodes)
-    affected = frozenset(n for p in unique for n in p.nodes)
-    return DiscoveryResult(paths=tuple(unique), affected_assets=affected, graph=graph)
+    found.sort(key=lambda p: p.nodes)
+    affected = frozenset(n for p in found for n in p.nodes)
+    return DiscoveryResult(paths=tuple(found), affected_assets=affected, graph=graph)

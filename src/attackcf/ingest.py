@@ -11,6 +11,9 @@ allowed).  Recognised keys: entry_points, target_points, attacker_location,
 attacker_capability, propagation_length, allowed_types, x1, x2, x3, x4.
 Unknown keys are rejected.
 
+Asset ids may not contain a comma, "->", a double quote, a backslash or a
+line break: the reports and the DOT export write ids as they are.
+
 Vulnerability requirement fields accept plain integers 1-3, or a CVSS
 base-vector string in the required_location field (e.g.
 "AV:N/AC:L/Au:N/C:C/I:C/A:C"), in which case the location is derived from
@@ -22,6 +25,7 @@ left empty.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +57,11 @@ _CONFIG_KEYS = frozenset(
         "x4",
     }
 )
+
+#: asset ids are written unquoted into comma-separated reports, joined with
+#: "->" in the discovery report and quoted in DOT, so none of these may
+#: occur in one; the class holds every line break str.splitlines knows
+_UNSAFE_ID = re.compile(r',|->|"|\\|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
 
 _ACCESS_VECTOR = {"L": 1, "A": 2, "N": 3}
 _ACCESS_COMPLEXITY = {"L": 1, "M": 2, "H": 3}
@@ -88,6 +97,11 @@ def load_assets(path) -> set[Asset]:
     for line_no, (aid, name, kind, host) in _rows(path, 4, "asset"):
         if not aid:
             raise IngestError(f"{path}:{line_no}: empty asset id")
+        if _UNSAFE_ID.search(aid):
+            raise IngestError(
+                f"{path}:{line_no}: asset id {aid!r} contains a comma, '->', "
+                "a double quote, a backslash or a line break"
+            )
         if aid in seen:
             raise IngestError(f"{path}:{line_no}: duplicate asset id {aid}")
         seen.add(aid)
@@ -302,8 +316,12 @@ def load_bundle(assets_path, vulns_path, edges_path, config_path) -> ModelBundle
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # the writer quotes only the characters of its line terminator, but
+        # the reader also ends a line at a bare "\r"
+        quoting = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            (quoting if any("\r" in str(f) for f in row) else writer).writerow(row)
 
 
 def save_assets(path, assets) -> None:

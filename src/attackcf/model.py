@@ -89,12 +89,15 @@ class VulnerabilityInstance:
 
 class Adjacency(NamedTuple):
     """CSR adjacency over the sorted asset ids: node i is ids[i] (index maps back),
-    its successors are indices[indptr[i]:indptr[i + 1]] in ascending order."""
+    its successors are indices[indptr[i]:indptr[i + 1]] and its predecessors
+    rindices[rindptr[i]:rindptr[i + 1]], both in ascending order."""
 
     ids: tuple[str, ...]
     index: dict[str, int]
     indptr: np.ndarray
     indices: np.ndarray
+    rindptr: np.ndarray
+    rindices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,12 @@ class AssetGraph:
         index = {aid: i for i, aid in enumerate(ids)}
         src = np.fromiter((index[s] for s, _ in self.edges), np.int64, len(self.edges))
         indices = np.fromiter((index[d] for _, d in self.edges), np.int64, len(self.edges))
-        indptr = np.searchsorted(src, np.arange(len(ids) + 1)).astype(np.int64)
-        return Adjacency(ids, index, indptr, indices)
+        rows = np.arange(len(ids) + 1)
+        indptr = np.searchsorted(src, rows).astype(np.int64)
+        # a stable sort by destination keeps each predecessor row ascending
+        order = np.argsort(indices, kind="stable")
+        rindptr = np.searchsorted(indices[order], rows).astype(np.int64)
+        return Adjacency(ids, index, indptr, indices, rindptr, src[order])
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.asset_by_id
@@ -158,10 +165,13 @@ class AttackerProfile:
     capability: int
 
     def __post_init__(self):
-        if self.location not in (1, 2, 3):
-            raise ValueError(f"attacker location must be 1, 2 or 3, got {self.location}")
-        if self.capability not in (1, 2, 3):
-            raise ValueError(f"attacker capability must be 1, 2 or 3, got {self.capability}")
+        # bool is an int subclass, and True == 1
+        if type(self.location) is not int or self.location not in (1, 2, 3):
+            raise ValueError(f"attacker location must be 1, 2 or 3, got {self.location!r}")
+        if type(self.capability) is not int or self.capability not in (1, 2, 3):
+            raise ValueError(
+                f"attacker capability must be 1, 2 or 3, got {self.capability!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -163,21 +163,45 @@ class TestDiscover:
     def test_all_traversals_share_one_adjacency(self, office, monkeypatch):
         seen = []
 
-        def recording(kernel):
+        def recording(name, kernel):
             def wrapper(indptr, indices, *args, **kwargs):
-                seen.append((indptr, indices))
+                seen.append((name, indptr, indices))
                 return kernel(indptr, indices, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(_kernels, "bfs_lengths", recording(_kernels.bfs_lengths))
-        monkeypatch.setattr(_kernels, "simple_paths", recording(_kernels.simple_paths))
+        monkeypatch.setattr(_kernels, "bfs_lengths",
+                            recording("bfs", _kernels.bfs_lengths))
+        monkeypatch.setattr(_kernels, "simple_paths",
+                            recording("dfs", _kernels.simple_paths))
         discover(office, office_config(propagation_length=3))
         shortest_path_lengths(office, "A1")
         enumerate_simple_paths(office, "A1", "A3", 2)
         adj = office.adjacency
-        assert len(seen) > 3
-        assert all(indptr is adj.indptr and indices is adj.indices
-                   for indptr, indices in seen)
+        forward, reverse = (adj.indptr, adj.indices), (adj.rindptr, adj.rindices)
+        # discover: one reverse BFS from the targets, one DFS per eligible
+        # entry (A1, A2); then one BFS and one DFS for the two direct calls
+        expected = [("bfs", reverse), ("dfs", forward), ("dfs", forward),
+                    ("bfs", forward), ("dfs", forward)]
+        assert len(seen) == len(expected)
+        for (name, indptr, indices), (want_name, (want_ptr, want_idx)) in zip(
+                seen, expected):
+            assert name == want_name
+            assert indptr is want_ptr and indices is want_idx
+
+    def test_path_through_a_target_reaches_the_next(self):
+        g = graph_with_uniform_vulns(["E", "T1", "T2"], {("E", "T1"), ("T1", "T2")})
+        config = DiscoveryConfig({"E"}, {"T1", "T2"}, AttackerProfile(3, 3), 2)
+        for prune in (True, False):
+            got = [p.nodes for p in discover(g, config, prune=prune).paths]
+            assert got == [("E", "T1"), ("E", "T1", "T2")]
+
+    def test_entry_that_is_a_target_is_never_a_path_end(self):
+        nodes = ["A", "B", "C"]
+        edges = {("A", "B"), ("B", "A"), ("B", "C"), ("C", "A")}
+        g = graph_with_uniform_vulns(nodes, edges)
+        config = DiscoveryConfig({"A"}, set(nodes), AttackerProfile(3, 3), 4)
+        got = [p.nodes for p in discover(g, config).paths]
+        assert got == [("A", "B"), ("A", "B", "C")]
 
     def test_complete_digraph_matches_oracle(self, backend):
         nodes = [f"N{i}" for i in range(5)]
@@ -270,6 +294,38 @@ class TestDiscoverProperties:
         )
         longer = {p.nodes for p in discover(g, longer_config).paths}
         assert shorter <= longer
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_ordered_output_matches_per_pair_oracle(self, seed):
+        # one DFS per entry towards every target must give exactly the union
+        # of the per-(entry, target) enumerations, already in sorted order
+        rng = random.Random(5000 + seed)
+        nodes, edges = random_digraph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.5))
+        caps = {n: rng.randint(1, 3) for n in nodes}
+        g = AssetGraph(
+            [Asset(n, n, AssetKind.HARDWARE) for n in nodes],
+            [VulnerabilityInstance("CVE-1", n, 5.0, None, VulnType.CODE_EXECUTION, 1, c)
+             for n, c in caps.items()],
+            edges,
+        )
+        k = min(4, len(nodes))
+        entries = set(rng.sample(nodes, rng.randint(1, k)))
+        targets = set(rng.sample(nodes, rng.randint(1, k)))
+        attacker = AttackerProfile(3, rng.randint(1, 3))
+        max_len = rng.randint(1, 7)
+        config = DiscoveryConfig(entries, targets, attacker, max_len)
+
+        adj = {}
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+        vulns_of = {n: [(VulnType.CODE_EXECUTION, 1, c)] for n, c in caps.items()}
+        expected = sorted(oracles.discover_reference(
+            adj, vulns_of, entries, targets, (attacker.location, attacker.capability),
+            DEFAULT_ALLOWED_TYPES, max_len,
+        ))
+        for prune in (True, False):
+            got = [p.nodes for p in discover(g, config, prune=prune).paths]
+            assert got == expected
 
     def test_duplicate_paths_never_emitted(self):
         rng = random.Random(77)

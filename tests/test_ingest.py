@@ -1,4 +1,8 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attackcf.bench import SynthSpec, generate
 from attackcf.ingest import (
@@ -14,13 +18,22 @@ from attackcf.ingest import (
     save_edges,
     save_vulnerabilities,
 )
-from attackcf.model import Asset, AssetGraph, AssetKind, VulnType
+from attackcf.model import Asset, AssetGraph, AssetKind, VulnType, VulnerabilityInstance
 
 from conftest import DEMO_DIR, office_graph
 
 ASSET_HEADER = "id,name,kind,host\n"
 VULN_HEADER = (
     "cve_id,asset_id,score,cwe_id,vuln_type,required_location,required_capability\n"
+)
+
+
+# ingest strips every field, so only stripped text survives a round trip
+_STRIPPED_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
+).filter(lambda s: s == s.strip())
+_ALLOWED_IDS = _STRIPPED_TEXT.filter(
+    lambda s: not any(p in s for p in (",", "->", '"', "\\")) and s.splitlines() == [s]
 )
 
 
@@ -70,6 +83,15 @@ class TestLoadAssets:
             ASSET_HEADER + "A1,x,hardware,\nA1,y,software,\n",
         )
         with pytest.raises(IngestError, match="duplicate asset id A1"):
+            load_assets(path)
+
+    @pytest.mark.parametrize("aid", [
+        '"A,1"', "A->B", '"A""1"', "A\\1", '"A\n1"', '"A\r1"', "A\u20281",
+    ])
+    def test_unsafe_id_rejected_with_line(self, tmp_path, aid):
+        # the CSV reader accepts each of these; the reports could not
+        path = _write(tmp_path, "a.csv", ASSET_HEADER + f"A0,x,hardware,\n{aid},y,hardware,\n")
+        with pytest.raises(IngestError, match=r"a\.csv:3: asset id"):
             load_assets(path)
 
     def test_bad_kind(self, tmp_path):
@@ -291,6 +313,40 @@ class TestBundleAndRoundTrip:
             [Asset("A1", "PCS node, rack 3", AssetKind.HARDWARE)]
         )
         self._assert_round_trips(tmp_path, graph)
+
+    def test_round_trip_carriage_return_in_name(self, tmp_path):
+        # csv.writer quotes "\n" (its line terminator) but not a bare "\r"
+        graph = AssetGraph([Asset("A1", "rack\r3", AssetKind.HARDWARE)])
+        self._assert_round_trips(tmp_path, graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_round_trip_allowed_ids(self, data):
+        ids = data.draw(st.lists(_ALLOWED_IDS, min_size=1, max_size=6, unique=True))
+        hardware = [i for i in ids if data.draw(st.booleans())]
+        assets = [
+            Asset(i, data.draw(_STRIPPED_TEXT), AssetKind.HARDWARE) for i in hardware
+        ] + [
+            Asset(i, data.draw(_STRIPPED_TEXT), AssetKind.SOFTWARE,
+                  data.draw(st.sampled_from(hardware)) if hardware else None)
+            for i in ids if i not in hardware
+        ]
+        vulns = [
+            VulnerabilityInstance(
+                cve_id=data.draw(_ALLOWED_IDS),
+                asset=data.draw(st.sampled_from(ids)),
+                score=data.draw(st.floats(0.0, 10.0)),
+                cwe_id=data.draw(st.none() | _ALLOWED_IDS),
+                vuln_type=data.draw(st.sampled_from(VulnType)),
+                required_location=data.draw(st.integers(1, 3)),
+                required_capability=data.draw(st.integers(1, 3)),
+            )
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        pairs = [(a, b) for a in ids for b in ids if a != b]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_round_trips(Path(tmp), AssetGraph(assets, vulns, edges))
 
     @staticmethod
     def _assert_round_trips(tmp_path, graph: AssetGraph):

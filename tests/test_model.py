@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -125,9 +126,25 @@ class TestAssetGraph:
             i = adj.index[aid]
             return tuple(adj.ids[j] for j in adj.indices[adj.indptr[i]:adj.indptr[i + 1]])
 
+        def predecessors(aid):
+            i = adj.index[aid]
+            return tuple(adj.ids[j] for j in adj.rindices[adj.rindptr[i]:adj.rindptr[i + 1]])
+
         assert row("A1") == ("A2", "A3")
         assert row("A3") == ()
+        assert predecessors("A3") == ("A1",)
+        assert predecessors("A1") == ()
         assert g.adjacency is adj
+
+    def test_reverse_adjacency_is_the_transpose(self):
+        rng = random.Random(3)
+        ids = [f"N{i}" for i in range(8)]
+        edges = {(u, v) for u in ids for v in ids if u != v and rng.random() < 0.3}
+        adj = AssetGraph([Asset(x, x, AssetKind.HARDWARE) for x in ids], edges=edges).adjacency
+        for v in ids:
+            i = adj.index[v]
+            preds = [adj.ids[j] for j in adj.rindices[adj.rindptr[i]:adj.rindptr[i + 1]]]
+            assert preds == sorted(u for u, w in edges if w == v)
 
 
 class TestClassification:
@@ -153,6 +170,13 @@ class TestConfigInvariants:
             AttackerProfile(0, 1)
         with pytest.raises(ValueError):
             AttackerProfile(1, 4)
+
+    def test_attacker_profile_rejects_bool(self):
+        # True == 1, so a bool would pass the range check
+        with pytest.raises(ValueError, match="location"):
+            AttackerProfile(True, 1)
+        with pytest.raises(ValueError, match="capability"):
+            AttackerProfile(1, True)
 
     def test_discovery_config_rejects_empty_points(self):
         attacker = AttackerProfile(3, 3)
