@@ -1,10 +1,11 @@
 """Hot graph kernels with interchangeable numba and pure-Python backends.
 
-Both backends run the same two function bodies, a multi-source BFS and a
-simple-path DFS towards a target mask, over CSR adjacency arrays (indptr:
-int64[n+1], indices: int64[nnz], neighbor indices sorted within each row).  The numba backend is the default whenever numba imports
-cleanly; set ATTACKCF_BACKEND=python (or =numba) to force one.  Outputs
-are bit-identical across backends.
+Both backends run the same two function bodies over CSR adjacency arrays
+(indptr: int64[n+1], indices: int64[nnz], neighbor indices sorted within
+each row): a multi-source BFS and a simple-path DFS towards a target mask.
+ATTACKCF_BACKEND (python or numba) picks the backend; unset, it is numba
+whenever numba imports cleanly, else python.  Outputs are bit-identical
+across backends.
 """
 
 from __future__ import annotations
@@ -106,9 +107,8 @@ try:
         njit(cache=True)(_bfs_lengths),
         njit(cache=True)(_simple_paths),
     )
-    HAS_NUMBA = True
 except ImportError:
-    HAS_NUMBA = False
+    pass
 
 
 def available_backends() -> tuple[str, ...]:
@@ -125,32 +125,20 @@ def default_backend() -> str:
                 f"choose one of {', '.join(available_backends())}"
             )
         return choice
-    return "numba" if HAS_NUMBA else "python"
+    return "numba" if "numba" in _IMPLS else "python"
 
 
-def _resolve(backend: str | None):
-    name = default_backend() if backend is None else backend
-    try:
-        return _IMPLS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose one of {', '.join(available_backends())}"
-        ) from None
-
-
-def bfs_lengths(indptr, indices, sources, max_depth: int | None = None,
-                backend: str | None = None):
+def bfs_lengths(indptr, indices, sources, max_depth: int | None = None):
     """Edge counts from the nearest of sources (one index or an array of them)
     to every node; -1 for unreachable nodes and, unless max_depth is None,
     for nodes farther than max_depth.  Pass the reverse CSR to get distances
     to the sources instead."""
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     depth = -1 if max_depth is None else max_depth
-    return _resolve(backend)[0](indptr, indices, sources, np.int64(depth))
+    return _IMPLS[default_backend()][0](indptr, indices, sources, np.int64(depth))
 
 
-def simple_paths(indptr, indices, src: int, is_target, to_target, max_edges: int,
-                 backend: str | None = None):
+def simple_paths(indptr, indices, src: int, is_target, to_target, max_edges: int):
     """All simple paths from src to any node flagged in is_target, up to
     max_edges edges, in lexicographic order.
 
@@ -163,15 +151,15 @@ def simple_paths(indptr, indices, src: int, is_target, to_target, max_edges: int
     Returns (flat, lens): flat holds the concatenated node sequences and
     lens the per-path node counts.
     """
-    return _resolve(backend)[1](
+    return _IMPLS[default_backend()][1](
         indptr, indices, np.int64(src), is_target, to_target, np.int64(max_edges)
     )
 
 
-def warm_up(backend: str | None = None) -> None:
-    """Force kernel compilation so timed runs exclude JIT cost."""
+def warm_up() -> None:
+    """Compile the selected backend's kernels so timed runs exclude JIT cost."""
     indptr = np.array([0, 1, 1], dtype=np.int64)
     indices = np.array([1], dtype=np.int64)
-    bfs_lengths(indptr, indices, 0, 1, backend=backend)
+    bfs_lengths(indptr, indices, 0, 1)
     simple_paths(indptr, indices, 0, np.array([False, True]),
-                 np.zeros(2, dtype=np.int64), 1, backend=backend)
+                 np.zeros(2, dtype=np.int64), 1)

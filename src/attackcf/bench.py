@@ -10,8 +10,9 @@ backbone.
 
 The harness times discover() over a matrix of (capability, propagation
 length, entry count, target count) cells, three repetitions with the
-median reported, and can time each installed kernel backend (python
-always, numba when it imports).
+median reported.  It times the kernel backend that ATTACKCF_BACKEND
+selects (see attackcf._kernels) and records its name with every cell; run
+it once per backend to compare them.
 """
 
 from __future__ import annotations
@@ -161,7 +162,6 @@ def run_bench(
     spec: SynthSpec,
     matrix=DEFAULT_MATRIX,
     repetitions: int = 3,
-    backend: str | None = None,
 ) -> list[BenchRecord]:
     """Time discover() for each matrix cell; wall_time is the median of repetitions.
 
@@ -172,8 +172,8 @@ def run_bench(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
-    backend_name = _kernels.default_backend() if backend is None else backend
-    _kernels.warm_up(backend_name)
+    backend = _kernels.default_backend()
+    _kernels.warm_up()
 
     ids = sorted(a.id for a in graph.assets)
     # entries are drawn from the hardware backbone: attacks initiate from
@@ -203,7 +203,7 @@ def run_bench(
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter()
-                result = discover(graph, config, backend=backend_name)
+                result = discover(graph, config)
                 times.append(time.perf_counter() - t0)
                 n_paths = len(result.paths)
             wall_time = statistics.median(times)
@@ -216,7 +216,7 @@ def run_bench(
                 n_target=n_target,
                 wall_time=wall_time,
                 n_paths=n_paths,
-                backend=backend_name,
+                backend=backend,
             )
         )
     return records

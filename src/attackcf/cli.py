@@ -69,13 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--vulns-per-asset", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=42)
     p_bench.add_argument("--reps", type=int, default=3, help="repetitions per cell")
-    p_bench.add_argument(
-        "--backend",
-        choices=(*_kernels.available_backends(), "both"),
-        default=None,
-        help="kernel backend to time; 'both' times every installed backend "
-        "(default: ATTACKCF_BACKEND, else numba when installed, else python)",
-    )
     p_bench.add_argument("--matrix", help="CSV of cells (default: built-in 12-cell matrix)")
     p_bench.add_argument("--out", required=True, help="output CSV path")
 
@@ -143,18 +136,7 @@ def _cmd_bench(args) -> int:
         raise UsageError(str(exc)) from exc
     matrix = _load_matrix(args.matrix) if args.matrix else DEFAULT_MATRIX
     graph = generate(spec)
-    if args.backend == "both":
-        backends = _kernels.available_backends()
-        if not _kernels.HAS_NUMBA:
-            print(
-                f"note: numba is not installed; timing {', '.join(backends)} only",
-                file=sys.stderr,
-            )
-    else:
-        backends = (args.backend,)
-    records = []
-    for backend in backends:
-        records.extend(run_bench(graph, spec, matrix, args.reps, backend))
+    records = run_bench(graph, spec, matrix, args.reps)
     write_bench_csv(args.out, records)
     print(f"wrote {len(records)} benchmark records to {args.out}")
     return 0

@@ -64,14 +64,11 @@ def entry_eligible(
     return False
 
 
-def shortest_path_lengths(
-    graph: AssetGraph, source: str, backend: str | None = None
-) -> dict[str, int]:
+def shortest_path_lengths(graph: AssetGraph, source: str) -> dict[str, int]:
     """BFS distances in edge count from source; unreachable assets are absent."""
     _require_asset(graph, source)
     csr = graph.adjacency
-    dist = _kernels.bfs_lengths(csr.indptr, csr.indices, csr.index[source],
-                                backend=backend)
+    dist = _kernels.bfs_lengths(csr.indptr, csr.indices, csr.index[source])
     return {csr.ids[i]: int(d) for i, d in enumerate(dist) if d >= 0}
 
 
@@ -90,7 +87,6 @@ def enumerate_simple_paths(
     entry: str,
     target: str,
     max_len: int,
-    backend: str | None = None,
 ) -> list[AttackPath]:
     """All simple directed paths entry->target with at most max_len edges.
 
@@ -109,7 +105,7 @@ def enumerate_simple_paths(
     to_target = np.zeros(len(csr.ids), dtype=np.int64)
     to_target[dst] = -1  # a simple path cannot return to its only target
     flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[entry],
-                                       is_target, to_target, max_len, backend)
+                                       is_target, to_target, max_len)
     return _to_paths(csr.ids, flat, lens)
 
 
@@ -117,7 +113,6 @@ def discover(
     graph: AssetGraph,
     config: DiscoveryConfig,
     prune: bool = True,
-    backend: str | None = None,
 ) -> DiscoveryResult:
     """Enumerate every bounded attack path from eligible entries to targets.
 
@@ -152,13 +147,13 @@ def discover(
     is_target[target_ids] = True
     if prune:
         to_target = _kernels.bfs_lengths(csr.rindptr, csr.rindices, target_ids,
-                                         max_len, backend)
+                                         max_len)
     else:
         to_target = np.zeros(len(csr.ids), dtype=np.int64)
     found: list[AttackPath] = []
     for e in eligible:
         flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[e],
-                                           is_target, to_target, max_len, backend)
+                                           is_target, to_target, max_len)
         found.extend(_to_paths(csr.ids, flat, lens))
 
     found.sort(key=lambda p: p.nodes)

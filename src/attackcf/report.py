@@ -14,6 +14,7 @@ from attackcf.prediction import PredictionReport
 
 DISCOVER_MAGIC = "# attackcf discover v1"
 PREDICT_MAGIC = "# attackcf predict v1"
+PREDICT_HEADER = "src,dst,level,co_rated,similarity,degenerate"
 
 _LEVEL_TOKENS = {
     Classification.VERY_HIGH: "VeryHigh",
@@ -49,7 +50,7 @@ def format_prediction_report(report: PredictionReport) -> str:
         PREDICT_MAGIC,
         f"# thresholds x1={cfg.x1} x2={cfg.x2} x3={cfg.x3} x4={cfg.x4}",
         f"# n_predictions={len(report.predictions)}",
-        "src,dst,level,co_rated,similarity,degenerate",
+        PREDICT_HEADER,
     ]
     for p in report.predictions:
         lines.append(
@@ -60,15 +61,26 @@ def format_prediction_report(report: PredictionReport) -> str:
 
 
 def parse_prediction_report(path) -> list[Prediction]:
-    """Re-read a prediction report written by format_prediction_report."""
+    """Re-read a prediction report written by format_prediction_report.
+
+    Comment lines may only come before the column header: an asset id may
+    itself begin with '#', so every non-empty line after it is a data row.
+    """
     predictions: list[Prediction] = []
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != PREDICT_MAGIC:
             raise ValueError(f"{path}: not a prediction report (header {first!r})")
         for line in fh:
+            if line.rstrip("\n") == PREDICT_HEADER:
+                break
+            if not line.startswith("#"):
+                raise ValueError(f"{path}: data before the column header")
+        else:
+            raise ValueError(f"{path}: no column header")
+        for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or line.startswith("src,"):
+            if not line:
                 continue
             src, dst, level, co_rated, similarity, degenerate = line.split(",")
             predictions.append(
@@ -85,7 +97,7 @@ def parse_prediction_report(path) -> list[Prediction]:
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def render_dot(

@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from attackcf import _kernels
 from attackcf.model import (
@@ -15,6 +16,15 @@ from attackcf.model import (
 )
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demo"
+
+# ingest strips every field, so only stripped text survives a round trip
+STRIPPED_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
+).filter(lambda s: s == s.strip())
+# the asset ids ingest accepts
+ALLOWED_IDS = STRIPPED_TEXT.filter(
+    lambda s: not any(p in s for p in (",", "->", '"', "\\")) and s.splitlines() == [s]
+)
 
 # the desktop + two laptops case study model, built in code
 _SHARED_CVES = [
@@ -60,7 +70,9 @@ def office():
 
 
 @pytest.fixture(params=_kernels.available_backends())
-def backend(request):
+def backend(request, monkeypatch):
+    """Each installed kernel backend in turn, selected through ATTACKCF_BACKEND."""
+    monkeypatch.setenv("ATTACKCF_BACKEND", request.param)
     return request.param
 
 

@@ -109,15 +109,15 @@ class TestRunBench:
     def test_paper_scale_path_counts(self):
         # the default `attackcf bench` spec: 35 hardware + 145 software assets
         spec = SynthSpec(35, 145, 0.05, 3, seed=42)
-        records = run_bench(generate(spec), spec, repetitions=1, backend="python")
+        records = run_bench(generate(spec), spec, repetitions=1)
         assert [r.n_paths for r in records] == [
             2, 4, 8, 2, 4, 10, 2, 4, 10, 174, 692, 13052]
 
-    def test_backends_report_same_counts(self, backend):
-        records = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3],
-                            repetitions=1, backend=backend)
-        reference = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3],
-                              repetitions=1, backend="python")
+    def test_backends_report_same_counts(self, backend, monkeypatch):
+        records = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3], repetitions=1)
+        assert [r.backend for r in records] == [backend] * 3
+        monkeypatch.setenv("ATTACKCF_BACKEND", "python")
+        reference = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3], repetitions=1)
         assert [r.n_paths for r in records] == [r.n_paths for r in reference]
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from attackcf import __version__, _kernels
+from attackcf import __version__
 from attackcf.cli import main
 from attackcf.model import Classification
 from attackcf.report import parse_prediction_report
@@ -207,20 +207,21 @@ class TestBenchCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {matrix}{message}\n"
 
-    def test_both_backends_compare(self, tmp_path, capsys):
-        # 'both' times every installed backend: numba and python where numba
-        # imports, python alone (with a note on stderr) where it does not
+    def test_backend_column_names_the_selected_backend(self, tmp_path, backend):
         out = tmp_path / "bench.csv"
         matrix = tmp_path / "matrix.csv"
         matrix.write_text("capability,propagation_length,n_entry,n_target\nHigh,3,3,3\n")
-        rc = main(["bench", *self.BENCH_FLAGS, "--backend", "both",
-                   "--matrix", str(matrix), "--out", str(out)])
+        rc = main(["bench", *self.BENCH_FLAGS, "--matrix", str(matrix), "--out", str(out)])
         assert rc == 0
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-        assert sorted(r[-1] for r in rows) == list(_kernels.available_backends())
-        assert len({r[6] for r in rows}) == 1  # same n_paths either way
-        note = "note: numba is not installed; timing python only"
-        assert (note in capsys.readouterr().err) == (not _kernels.HAS_NUMBA)
+        assert [r[-1] for r in rows] == [backend]
+
+    def test_backend_flag_is_gone(self, tmp_path):
+        # ATTACKCF_BACKEND is the one backend setting
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *self.BENCH_FLAGS, "--backend", "python",
+                  "--out", str(tmp_path / "bench.csv")])
+        assert exc.value.code == 2
 
 
 class TestExportDotCommand:

@@ -79,15 +79,15 @@ class TestEntryEligible:
 
 class TestShortestPathLengths:
     def test_office_topology_from_a1(self, office, backend):
-        assert shortest_path_lengths(office, "A1", backend) == {"A1": 0, "A2": 1, "A3": 2}
+        assert shortest_path_lengths(office, "A1") == {"A1": 0, "A2": 1, "A3": 2}
 
     def test_sink_maps_to_itself_only(self, office, backend):
-        assert shortest_path_lengths(office, "A3", backend) == {"A3": 0}
+        assert shortest_path_lengths(office, "A3") == {"A3": 0}
 
     def test_isolated_source(self, backend):
         g = AssetGraph([Asset("X", "x", AssetKind.HARDWARE),
                         Asset("Y", "y", AssetKind.HARDWARE)])
-        assert shortest_path_lengths(g, "X", backend) == {"X": 0}
+        assert shortest_path_lengths(g, "X") == {"X": 0}
 
     def test_unknown_source(self, office):
         with pytest.raises(KeyError):
@@ -96,15 +96,15 @@ class TestShortestPathLengths:
 
 class TestEnumerateSimplePaths:
     def test_two_hop_path(self, office, backend):
-        paths = enumerate_simple_paths(office, "A1", "A3", 3, backend)
+        paths = enumerate_simple_paths(office, "A1", "A3", 3)
         assert [p.nodes for p in paths] == [("A1", "A2", "A3")]
 
     def test_direct_edge(self, office, backend):
-        paths = enumerate_simple_paths(office, "A1", "A2", 1, backend)
+        paths = enumerate_simple_paths(office, "A1", "A2", 1)
         assert [p.nodes for p in paths] == [("A1", "A2")]
 
     def test_bound_excludes_distant_target(self, office, backend):
-        assert enumerate_simple_paths(office, "A1", "A3", 1, backend) == []
+        assert enumerate_simple_paths(office, "A1", "A3", 1) == []
 
     def test_rejects_equal_endpoints(self, office):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestEnumerateSimplePaths:
         nodes = [f"N{i}" for i in range(5)]
         edges = {(u, v) for u in nodes for v in nodes if u != v}
         g = graph_with_uniform_vulns(nodes, edges)
-        paths = enumerate_simple_paths(g, "N0", "N4", 4, backend)
+        paths = enumerate_simple_paths(g, "N0", "N4", 4)
         oracle = oracles.simple_paths_by_permutation(nodes, edges, "N0", "N4", 4)
         assert len(paths) == len(oracle) == 16
         assert {p.nodes for p in paths} == set(oracle)
@@ -128,13 +128,13 @@ class TestEnumerateSimplePaths:
         edges = {("A", "D"), ("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"),
                  ("B", "C")}
         g = graph_with_uniform_vulns(nodes, edges)
-        paths = [p.nodes for p in enumerate_simple_paths(g, "A", "D", 3, backend)]
+        paths = [p.nodes for p in enumerate_simple_paths(g, "A", "D", 3)]
         assert paths == sorted(paths)
 
 
 class TestDiscover:
     def test_office_case(self, office, backend):
-        result = discover(office, office_config(), backend=backend)
+        result = discover(office, office_config())
         assert {p.nodes for p in result.paths} == {
             ("A1", "A2"), ("A2", "A1"), ("A2", "A3")
         }
@@ -208,7 +208,7 @@ class TestDiscover:
         edges = {(u, v) for u in nodes for v in nodes if u != v}
         g = graph_with_uniform_vulns(nodes, edges)
         config = DiscoveryConfig({"N0"}, {"N4"}, AttackerProfile(3, 3), 4)
-        result = discover(g, config, backend=backend)
+        result = discover(g, config)
         assert len(result.paths) == 16
 
     @pytest.mark.parametrize("seed", range(30))

@@ -20,20 +20,11 @@ from attackcf.ingest import (
 )
 from attackcf.model import Asset, AssetGraph, AssetKind, VulnType, VulnerabilityInstance
 
-from conftest import DEMO_DIR, office_graph
+from conftest import ALLOWED_IDS, DEMO_DIR, STRIPPED_TEXT, office_graph
 
 ASSET_HEADER = "id,name,kind,host\n"
 VULN_HEADER = (
     "cve_id,asset_id,score,cwe_id,vuln_type,required_location,required_capability\n"
-)
-
-
-# ingest strips every field, so only stripped text survives a round trip
-_STRIPPED_TEXT = st.text(
-    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
-).filter(lambda s: s == s.strip())
-_ALLOWED_IDS = _STRIPPED_TEXT.filter(
-    lambda s: not any(p in s for p in (",", "->", '"', "\\")) and s.splitlines() == [s]
 )
 
 
@@ -322,21 +313,21 @@ class TestBundleAndRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_round_trip_allowed_ids(self, data):
-        ids = data.draw(st.lists(_ALLOWED_IDS, min_size=1, max_size=6, unique=True))
+        ids = data.draw(st.lists(ALLOWED_IDS, min_size=1, max_size=6, unique=True))
         hardware = [i for i in ids if data.draw(st.booleans())]
         assets = [
-            Asset(i, data.draw(_STRIPPED_TEXT), AssetKind.HARDWARE) for i in hardware
+            Asset(i, data.draw(STRIPPED_TEXT), AssetKind.HARDWARE) for i in hardware
         ] + [
-            Asset(i, data.draw(_STRIPPED_TEXT), AssetKind.SOFTWARE,
+            Asset(i, data.draw(STRIPPED_TEXT), AssetKind.SOFTWARE,
                   data.draw(st.sampled_from(hardware)) if hardware else None)
             for i in ids if i not in hardware
         ]
         vulns = [
             VulnerabilityInstance(
-                cve_id=data.draw(_ALLOWED_IDS),
+                cve_id=data.draw(ALLOWED_IDS),
                 asset=data.draw(st.sampled_from(ids)),
                 score=data.draw(st.floats(0.0, 10.0)),
-                cwe_id=data.draw(st.none() | _ALLOWED_IDS),
+                cwe_id=data.draw(st.none() | ALLOWED_IDS),
                 vuln_type=data.draw(st.sampled_from(VulnType)),
                 required_location=data.draw(st.integers(1, 3)),
                 required_capability=data.draw(st.integers(1, 3)),
