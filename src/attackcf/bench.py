@@ -10,9 +10,8 @@ backbone.
 
 The harness times discover() over a matrix of (capability, propagation
 length, entry count, target count) cells, three repetitions with the
-median reported.  It times the kernel backend that ATTACKCF_BACKEND
-selects (see attackcf._kernels) and records its name with every cell; run
-it once per backend to compare them.
+median reported.  Every record names the kernel backend it timed, which
+is always python: attackcf._kernels has one pure-Python implementation.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from attackcf import _kernels
 from attackcf.discovery import discover
 from attackcf.model import (
     Asset,
@@ -172,9 +170,6 @@ def run_bench(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
-    backend = _kernels.default_backend()
-    _kernels.warm_up()
-
     ids = sorted(a.id for a in graph.assets)
     # entries are drawn from the hardware backbone: attacks initiate from
     # the reachable infrastructure nodes, targets can be anything
@@ -216,7 +211,7 @@ def run_bench(
                 n_target=n_target,
                 wall_time=wall_time,
                 n_paths=n_paths,
-                backend=backend,
+                backend="python",
             )
         )
     return records

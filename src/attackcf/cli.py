@@ -2,7 +2,7 @@
 
 Subcommands: discover, predict, bench, export-dot.  Exit codes are stable:
 0 success, 1 data/validation error, 2 usage error (bad flags, unreadable
-files, invalid benchmark spec, unavailable ATTACKCF_BACKEND).
+files, invalid benchmark spec).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from attackcf import __version__, _kernels
+from attackcf import __version__
 from attackcf.bench import (
     DEFAULT_MATRIX,
     SynthSpec,
@@ -160,11 +160,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        _kernels.default_backend()
-    except ValueError as exc:  # a bad ATTACKCF_BACKEND is a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from attackcf import _kernels
 from attackcf.model import (
     AssetGraph,
@@ -69,14 +67,14 @@ def shortest_path_lengths(graph: AssetGraph, source: str) -> dict[str, int]:
     _require_asset(graph, source)
     csr = graph.adjacency
     dist = _kernels.bfs_lengths(csr.indptr, csr.indices, csr.index[source])
-    return {csr.ids[i]: int(d) for i, d in enumerate(dist) if d >= 0}
+    return {csr.ids[i]: d for i, d in enumerate(dist) if d >= 0}
 
 
 def _to_paths(ids: tuple[str, ...], flat, lens) -> list[AttackPath]:
-    names = [ids[i] for i in flat.tolist()]
+    names = [ids[i] for i in flat]
     out: list[AttackPath] = []
     pos = 0
-    for ln in lens.tolist():
+    for ln in lens:
         out.append(AttackPath(names[pos:pos + ln]))
         pos += ln
     return out
@@ -100,9 +98,9 @@ def enumerate_simple_paths(
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     csr = graph.adjacency
     dst = csr.index[target]
-    is_target = np.zeros(len(csr.ids), dtype=np.bool_)
+    is_target = [False] * len(csr.ids)
     is_target[dst] = True
-    to_target = np.zeros(len(csr.ids), dtype=np.int64)
+    to_target = [0] * len(csr.ids)
     to_target[dst] = -1  # a simple path cannot return to its only target
     flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[entry],
                                        is_target, to_target, max_len)
@@ -142,20 +140,21 @@ def discover(
         )
 
     max_len = config.propagation_length
-    target_ids = np.array([csr.index[t] for t in targets], dtype=np.int64)
-    is_target = np.zeros(len(csr.ids), dtype=np.bool_)
-    is_target[target_ids] = True
+    target_ids = [csr.index[t] for t in targets]
+    is_target = [False] * len(csr.ids)
+    for t in target_ids:
+        is_target[t] = True
     if prune:
         to_target = _kernels.bfs_lengths(csr.rindptr, csr.rindices, target_ids,
                                          max_len)
     else:
-        to_target = np.zeros(len(csr.ids), dtype=np.int64)
+        to_target = [0] * len(csr.ids)
     found: list[AttackPath] = []
     for e in eligible:
         flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[e],
                                            is_target, to_target, max_len)
         found.extend(_to_paths(csr.ids, flat, lens))
 
-    found.sort(key=lambda p: p.nodes)
+    # entries ascend and indices sort like ids, so found is already sorted
     affected = frozenset(n for p in found for n in p.nodes)
     return DiscoveryResult(paths=tuple(found), affected_assets=affected, graph=graph)

@@ -15,8 +15,6 @@ from enum import Enum, IntEnum
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 
 class AssetKind(Enum):
     HARDWARE = "hardware"
@@ -90,14 +88,24 @@ class VulnerabilityInstance:
 class Adjacency(NamedTuple):
     """CSR adjacency over the sorted asset ids: node i is ids[i] (index maps back),
     its successors are indices[indptr[i]:indptr[i + 1]] and its predecessors
-    rindices[rindptr[i]:rindptr[i + 1]], both in ascending order."""
+    rindices[rindptr[i]:rindptr[i + 1]], both in ascending order.  The four
+    CSR fields are plain lists of int, which the kernels index fastest."""
 
     ids: tuple[str, ...]
     index: dict[str, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-    rindptr: np.ndarray
-    rindices: np.ndarray
+    indptr: list[int]
+    indices: list[int]
+    rindptr: list[int]
+    rindices: list[int]
+
+
+def _csr(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    indptr = [0]
+    indices: list[int] = []
+    for row in rows:
+        indices += row
+        indptr.append(len(indices))
+    return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -141,17 +149,17 @@ class AssetGraph:
 
     @cached_property
     def adjacency(self) -> Adjacency:
-        # edges sort by (src, dst), so each source's row is contiguous and ascending
+        # edges sort by (src, dst) and indices sort like ids, so both the
+        # successor and the predecessor rows fill in ascending order
         ids = tuple(sorted(self.asset_by_id))
         index = {aid: i for i, aid in enumerate(ids)}
-        src = np.fromiter((index[s] for s, _ in self.edges), np.int64, len(self.edges))
-        indices = np.fromiter((index[d] for _, d in self.edges), np.int64, len(self.edges))
-        rows = np.arange(len(ids) + 1)
-        indptr = np.searchsorted(src, rows).astype(np.int64)
-        # a stable sort by destination keeps each predecessor row ascending
-        order = np.argsort(indices, kind="stable")
-        rindptr = np.searchsorted(indices[order], rows).astype(np.int64)
-        return Adjacency(ids, index, indptr, indices, rindptr, src[order])
+        succ: list[list[int]] = [[] for _ in ids]
+        pred: list[list[int]] = [[] for _ in ids]
+        for s, d in self.edges:
+            i, j = index[s], index[d]
+            succ[i].append(j)
+            pred[j].append(i)
+        return Adjacency(ids, index, *_csr(succ), *_csr(pred))
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.asset_by_id

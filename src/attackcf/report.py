@@ -26,10 +26,6 @@ _LEVEL_TOKENS = {
 _TOKEN_LEVELS = {v: k for k, v in _LEVEL_TOKENS.items()}
 
 
-def level_token(level: Classification) -> str:
-    return _LEVEL_TOKENS[level]
-
-
 def format_discovery_report(result: DiscoveryResult) -> str:
     lines = [
         DISCOVER_MAGIC,

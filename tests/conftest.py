@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from attackcf import _kernels
 from attackcf.model import (
     Asset,
     AssetGraph,
@@ -67,13 +66,6 @@ def office_config(propagation_length: int = 1) -> DiscoveryConfig:
 @pytest.fixture
 def office():
     return office_graph()
-
-
-@pytest.fixture(params=_kernels.available_backends())
-def backend(request, monkeypatch):
-    """Each installed kernel backend in turn, selected through ATTACKCF_BACKEND."""
-    monkeypatch.setenv("ATTACKCF_BACKEND", request.param)
-    return request.param
 
 
 def random_digraph(rng: random.Random, n: int, p: float):

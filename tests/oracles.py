@@ -8,6 +8,7 @@ internals.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 
 def pearson_reference(xs, ys):
@@ -41,6 +42,22 @@ def simple_paths_recursive(adj, src, dst, max_edges):
     if src != dst:
         walk(src, [src])
     return out
+
+
+def bfs_distances(adj, sources, max_depth):
+    """Edge count from the nearest source to every node reached within
+    max_depth edges, by a plain FIFO queue; unreached nodes are absent."""
+    dist = {s: 0 for s in sources}
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        if dist[v] == max_depth:
+            continue
+        for w in adj.get(v, ()):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def simple_paths_by_permutation(nodes, edges, src, dst, max_edges):

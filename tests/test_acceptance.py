@@ -23,7 +23,6 @@ from attackcf.model import (
 )
 from attackcf.prediction import classify_pair, predict, same_type
 from attackcf.similarity import pcc
-from attackcf import _kernels
 
 import oracles
 from conftest import (
@@ -66,7 +65,6 @@ INTERMEDIATE_EXPECTED = {
 def test_case_study_golden():
     """Three-asset case study reproduces the published classification lists."""
     with criterion("case-study golden test (exact, < 1 s)"):
-        _kernels.warm_up()  # one-time JIT compile stays out of the timed window
         started = time.perf_counter()
 
         bundle = load_bundle(
@@ -107,7 +105,6 @@ def test_case_study_golden():
 def test_path_enumeration_oracle_equivalence():
     """discover() equals an independent exhaustive enumerator on 200 graphs."""
     with criterion("path-enumeration oracle equivalence (200 graphs, < 30 s)"):
-        _kernels.warm_up()
         started = time.perf_counter()
         rng = random.Random(20250810)
         for case in range(200):

@@ -113,10 +113,9 @@ class TestRunBench:
         assert [r.n_paths for r in records] == [
             2, 4, 8, 2, 4, 10, 2, 4, 10, 174, 692, 13052]
 
-    def test_backends_report_same_counts(self, backend, monkeypatch):
+    def test_records_name_python_and_repeat_counts(self):
         records = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3], repetitions=1)
-        assert [r.backend for r in records] == [backend] * 3
-        monkeypatch.setenv("ATTACKCF_BACKEND", "python")
+        assert [r.backend for r in records] == ["python"] * 3
         reference = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3], repetitions=1)
         assert [r.n_paths for r in records] == [r.n_paths for r in reference]
 

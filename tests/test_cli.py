@@ -207,17 +207,17 @@ class TestBenchCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {matrix}{message}\n"
 
-    def test_backend_column_names_the_selected_backend(self, tmp_path, backend):
+    def test_backend_column_reads_python(self, tmp_path):
         out = tmp_path / "bench.csv"
         matrix = tmp_path / "matrix.csv"
         matrix.write_text("capability,propagation_length,n_entry,n_target\nHigh,3,3,3\n")
         rc = main(["bench", *self.BENCH_FLAGS, "--matrix", str(matrix), "--out", str(out)])
         assert rc == 0
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-        assert [r[-1] for r in rows] == [backend]
+        assert [r[-1] for r in rows] == ["python"]
 
     def test_backend_flag_is_gone(self, tmp_path):
-        # ATTACKCF_BACKEND is the one backend setting
+        # there is one kernel backend, so nothing selects one
         with pytest.raises(SystemExit) as exc:
             main(["bench", *self.BENCH_FLAGS, "--backend", "python",
                   "--out", str(tmp_path / "bench.csv")])
@@ -266,17 +266,6 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["discover", "bench"])
-def test_unknown_backend_setting_is_usage_error(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("ATTACKCF_BACKEND", "nonsense")
-    out = tmp_path / "out.txt"
-    flags = (_demo_flags(out) if command == "discover"
-             else [*TestBenchCommand.BENCH_FLAGS, "--out", str(out)])
-    assert main([command, *flags]) == 2
-    assert "ATTACKCF_BACKEND='nonsense' is not available" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_seed_flag_accepted_everywhere(tmp_path):

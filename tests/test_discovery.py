@@ -78,13 +78,13 @@ class TestEntryEligible:
 
 
 class TestShortestPathLengths:
-    def test_office_topology_from_a1(self, office, backend):
+    def test_office_topology_from_a1(self, office):
         assert shortest_path_lengths(office, "A1") == {"A1": 0, "A2": 1, "A3": 2}
 
-    def test_sink_maps_to_itself_only(self, office, backend):
+    def test_sink_maps_to_itself_only(self, office):
         assert shortest_path_lengths(office, "A3") == {"A3": 0}
 
-    def test_isolated_source(self, backend):
+    def test_isolated_source(self):
         g = AssetGraph([Asset("X", "x", AssetKind.HARDWARE),
                         Asset("Y", "y", AssetKind.HARDWARE)])
         assert shortest_path_lengths(g, "X") == {"X": 0}
@@ -95,15 +95,15 @@ class TestShortestPathLengths:
 
 
 class TestEnumerateSimplePaths:
-    def test_two_hop_path(self, office, backend):
+    def test_two_hop_path(self, office):
         paths = enumerate_simple_paths(office, "A1", "A3", 3)
         assert [p.nodes for p in paths] == [("A1", "A2", "A3")]
 
-    def test_direct_edge(self, office, backend):
+    def test_direct_edge(self, office):
         paths = enumerate_simple_paths(office, "A1", "A2", 1)
         assert [p.nodes for p in paths] == [("A1", "A2")]
 
-    def test_bound_excludes_distant_target(self, office, backend):
+    def test_bound_excludes_distant_target(self, office):
         assert enumerate_simple_paths(office, "A1", "A3", 1) == []
 
     def test_rejects_equal_endpoints(self, office):
@@ -114,7 +114,7 @@ class TestEnumerateSimplePaths:
         with pytest.raises(ValueError):
             enumerate_simple_paths(office, "A1", "A2", 0)
 
-    def test_complete_digraph_count(self, backend):
+    def test_complete_digraph_count(self):
         nodes = [f"N{i}" for i in range(5)]
         edges = {(u, v) for u in nodes for v in nodes if u != v}
         g = graph_with_uniform_vulns(nodes, edges)
@@ -123,7 +123,7 @@ class TestEnumerateSimplePaths:
         assert len(paths) == len(oracle) == 16
         assert {p.nodes for p in paths} == set(oracle)
 
-    def test_lexicographic_order(self, backend):
+    def test_lexicographic_order(self):
         nodes = ["A", "B", "C", "D"]
         edges = {("A", "D"), ("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"),
                  ("B", "C")}
@@ -133,7 +133,7 @@ class TestEnumerateSimplePaths:
 
 
 class TestDiscover:
-    def test_office_case(self, office, backend):
+    def test_office_case(self, office):
         result = discover(office, office_config())
         assert {p.nodes for p in result.paths} == {
             ("A1", "A2"), ("A2", "A1"), ("A2", "A3")
@@ -203,7 +203,7 @@ class TestDiscover:
         got = [p.nodes for p in discover(g, config).paths]
         assert got == [("A", "B"), ("A", "B", "C")]
 
-    def test_complete_digraph_matches_oracle(self, backend):
+    def test_complete_digraph_matches_oracle(self):
         nodes = [f"N{i}" for i in range(5)]
         edges = {(u, v) for u in nodes for v in nodes if u != v}
         g = graph_with_uniform_vulns(nodes, edges)

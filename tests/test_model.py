@@ -121,6 +121,10 @@ class TestAssetGraph:
         adj = g.adjacency
         assert adj.ids == ("A1", "A2", "A3")
         assert adj.index == {"A1": 0, "A2": 1, "A3": 2}
+        # the kernels index plain lists of int, never numpy scalars
+        for field in (adj.indptr, adj.indices, adj.rindptr, adj.rindices):
+            assert type(field) is list
+            assert all(type(x) is int for x in field)
 
         def row(aid):
             i = adj.index[aid]
