@@ -9,13 +9,13 @@ from __future__ import annotations
 
 
 def bfs_lengths(indptr, indices, sources, max_depth: int | None = None) -> list[int]:
-    """Edge counts from the nearest of sources (one index or an iterable of
-    them) to every node; -1 for unreachable nodes and, unless max_depth is
-    None, for nodes farther than max_depth.  Pass the reverse CSR to get
-    distances to the sources instead."""
+    """Edge counts from the nearest of sources (node indices) to every node;
+    -1 for unreachable nodes and, unless max_depth is None, for nodes
+    farther than max_depth.  Pass the reverse CSR to get distances to the
+    sources instead."""
     dist = [-1] * (len(indptr) - 1)
     frontier = []
-    for s in (sources,) if isinstance(sources, int) else sources:
+    for s in sources:
         if dist[s] < 0:
             dist[s] = 0
             frontier.append(s)

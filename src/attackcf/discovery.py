@@ -66,7 +66,7 @@ def shortest_path_lengths(graph: AssetGraph, source: str) -> dict[str, int]:
     """BFS distances in edge count from source; unreachable assets are absent."""
     _require_asset(graph, source)
     csr = graph.adjacency
-    dist = _kernels.bfs_lengths(csr.indptr, csr.indices, csr.index[source])
+    dist = _kernels.bfs_lengths(csr.indptr, csr.indices, [csr.index[source]])
     return {csr.ids[i]: d for i, d in enumerate(dist) if d >= 0}
 
 

@@ -113,4 +113,4 @@ def test_bounded_multi_source_bfs():
 
 
 def test_bfs_on_edgeless_graph():
-    assert _kernels.bfs_lengths([0, 0, 0, 0], [], 1) == [-1, 0, -1]
+    assert _kernels.bfs_lengths([0, 0, 0, 0], [], [1]) == [-1, 0, -1]
