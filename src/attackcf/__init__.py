@@ -45,7 +45,6 @@ from attackcf.discovery import (
 from attackcf.similarity import (
     PairSimilarity,
     UndefinedSimilarityError,
-    common_vulnerabilities,
     pcc,
     same_type,
     similarity_matrix,
@@ -54,7 +53,6 @@ from attackcf.prediction import (
     PredictionReport,
     classify_pair,
     predict,
-    rearrange,
 )
 from attackcf.bench import BenchRecord, SynthSpec, generate, run_bench
 
@@ -82,7 +80,6 @@ __all__ = [
     "VulnType",
     "VulnerabilityInstance",
     "classify_pair",
-    "common_vulnerabilities",
     "discover",
     "entry_eligible",
     "enumerate_simple_paths",
@@ -95,7 +92,6 @@ __all__ = [
     "load_vulnerabilities",
     "pcc",
     "predict",
-    "rearrange",
     "run_bench",
     "same_type",
     "save_assets",

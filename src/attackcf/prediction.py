@@ -17,7 +17,7 @@ and a very-high pair without one is demoted to high.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass
 
 from attackcf.discovery import DiscoveryResult
@@ -52,48 +52,45 @@ def classify_pair(
     return Classification.VERY_LOW
 
 
-def rearrange(pred: Prediction, paths: DiscoveryResult) -> Prediction:
-    """Apply the attack-path pass to one prediction.
+def _rearranged(level: Classification, on_path: bool) -> Classification:
+    """The attack-path rule for one direction src->dst of a pair.
 
-    A discovered path whose entry is pred.src and whose target is pred.dst
-    promotes the pair to very high; without one, a very-high pair drops to
-    high and anything else is left alone.
+    A discovered path whose entry is src and whose target is dst promotes
+    the pair to very high; without one, very high drops to high and any
+    other tier stays.
     """
-    return _rearrange(pred, {(p.entry, p.target) for p in paths.paths})
-
-
-def _rearrange(pred: Prediction, path_endpoints: set[tuple[str, str]]) -> Prediction:
-    if (pred.src, pred.dst) in path_endpoints:
-        return dataclasses.replace(pred, level=Classification.VERY_HIGH)
-    if pred.level is Classification.VERY_HIGH:
-        return dataclasses.replace(pred, level=Classification.HIGH)
-    return pred
+    if on_path:
+        return Classification.VERY_HIGH
+    if level is Classification.VERY_HIGH:
+        return Classification.HIGH
+    return level
 
 
 def predict(
     graph: AssetGraph, paths: DiscoveryResult, config: PredictionConfig
 ) -> PredictionReport:
-    """Classify both directions of every asset pair sharing a CVE.
+    """Classify both directions of every asset pair sharing at least one CVE.
 
     Classification inputs (shared count, type agreement, similarity) are
     symmetric; the rearrangement is directional, so a->b and b->a can end
-    on different tiers.
+    on different tiers.  Predictions are sorted by tier descending, then
+    src, then dst.
     """
     path_endpoints = {(p.entry, p.target) for p in paths.paths}
 
-    predictions: list[Prediction] = []
-    for sim, agree in _similarities(graph):
-        base = classify_pair(sim.co_rated, agree, config)
-        for src, dst in ((sim.a, sim.b), (sim.b, sim.a)):
-            pred = Prediction(
-                src=src,
-                dst=dst,
-                level=base,
-                similarity=sim.value,
-                co_rated=sim.co_rated,
-                degenerate=sim.degenerate,
-            )
-            predictions.append(_rearrange(pred, path_endpoints))
+    # by_tier[level][src] holds src's predictions at that tier.  Pairs come
+    # sorted by (a, b) with a < b, so every asset meets its partners in
+    # ascending order: first those below it, as b, then those above it, as a.
+    by_tier = [defaultdict(list) for _ in range(max(Classification) + 1)]
+    for a, b, value, co_rated, degenerate, agree in _similarities(graph):
+        base = classify_pair(co_rated, agree, config)
+        for src, dst in ((a, b), (b, a)):
+            level = _rearranged(base, (src, dst) in path_endpoints)
+            by_tier[level][src].append(
+                Prediction(src, dst, level, value, co_rated, degenerate))
 
-    predictions.sort(key=lambda p: (-p.level, p.src, p.dst))
+    predictions: list[Prediction] = []
+    for by_src in reversed(by_tier):
+        for src in sorted(by_src):
+            predictions += by_src[src]
     return PredictionReport(predictions=tuple(predictions), config_echo=config)

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from attackcf.model import AssetGraph, VulnerabilityInstance
+from attackcf.model import AssetGraph
 
 
 class UndefinedSimilarityError(ValueError):
@@ -51,33 +52,17 @@ class PairSimilarity:
     degenerate: bool
 
 
-def _row(va: VulnerabilityInstance,
-         vb: VulnerabilityInstance) -> tuple[str, float, float, bool]:
-    """(cve, score on a, score on b, same CWE) for a CVE on assets a and b."""
-    return va.cve_id, va.score, vb.score, va.cwe_id is not None and va.cwe_id == vb.cwe_id
-
-
-def _shared(a: str, b: str, graph: AssetGraph) -> list[tuple[str, float, float, bool]]:
-    if a == b:
-        raise ValueError(f"assets must differ, got {a!r} for both")
-    on_a = {v.cve_id: v for v in graph.vulns_by_asset.get(a, ())}
-    on_b = {v.cve_id: v for v in graph.vulns_by_asset.get(b, ())}
-    return [_row(on_a[cve], on_b[cve]) for cve in sorted(on_a.keys() & on_b.keys())]
-
-
-def common_vulnerabilities(
-    a: str, b: str, graph: AssetGraph
-) -> list[tuple[str, float, float]]:
-    """CVEs present on both assets with each side's score, sorted by CVE id."""
-    return [row[:3] for row in _shared(a, b, graph)]
-
-
 def same_type(a: str, b: str, graph: AssetGraph) -> bool:
     """True when some CVE shared by a and b carries the same CWE id on both.
 
     Absent CWE data never certifies agreement.
     """
-    return any(row[3] for row in _shared(a, b, graph))
+    if a == b:
+        raise ValueError(f"assets must differ, got {a!r} for both")
+    on_a = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(a, ())}
+    on_b = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(b, ())}
+    return any(on_a[cve] is not None and on_a[cve] == on_b[cve]
+               for cve in on_a.keys() & on_b.keys())
 
 
 def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
@@ -107,25 +92,28 @@ def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
     return min(1.0, max(-1.0, value)), False
 
 
-def _similarities(graph: AssetGraph) -> Iterator[tuple[PairSimilarity, bool]]:
-    """Each asset pair sharing a CVE, sorted by (a, b), with its type agreement.
+def _similarities(graph: AssetGraph) -> Iterator[tuple[str, str, float, int, bool, bool]]:
+    """(a, b, value, co_rated, degenerate, same_type) for each asset pair
+    sharing a CVE, sorted by (a, b) with a < b.
 
-    One pass over the CVEs gives each pair the rows _shared would give it;
-    assets missing from the graph are skipped.
+    One pass over the CVEs collects each pair's (score on a, score on b,
+    same CWE) rows; assets missing from the graph are skipped.
     """
-    shared: dict[tuple[str, str], list[tuple[str, float, float, bool]]] = {}
-    for _, group in groupby(graph.vulnerabilities, key=lambda v: v.cve_id):
+    known = graph.asset_by_id
+    shared: dict[tuple[str, str], list[tuple[float, float, bool]]] = {}
+    for _, group in groupby(graph.vulnerabilities, key=attrgetter("cve_id")):
         # records sort by (cve, asset, ...): each asset's last record, in id order
-        holders = {v.asset: v for v in group if v.asset in graph.asset_by_id}
+        holders = {v.asset: v for v in group if v.asset in known}
         for va, vb in combinations(holders.values(), 2):
-            shared.setdefault((va.asset, vb.asset), []).append(_row(va, vb))
+            shared.setdefault((va.asset, vb.asset), []).append(
+                (va.score, vb.score, va.cwe_id is not None and va.cwe_id == vb.cwe_id))
     for a, b in sorted(shared):
         rows = shared.pop((a, b))  # frees each pair's rows once it is yielded
         if len(rows) == 1:
-            value, degenerate = 0.0, False
+            yield a, b, 0.0, 1, False, rows[0][2]
         else:
-            value, degenerate = pcc([(sa, sb) for _, sa, sb, _ in rows])
-        yield PairSimilarity(a, b, value, len(rows), degenerate), any(r[3] for r in rows)
+            value, degenerate = pcc([row[:2] for row in rows])
+            yield a, b, value, len(rows), degenerate, any(row[2] for row in rows)
 
 
 def similarity_matrix(graph: AssetGraph) -> list[PairSimilarity]:
@@ -133,6 +121,6 @@ def similarity_matrix(graph: AssetGraph) -> list[PairSimilarity]:
 
     Pairs sharing exactly one CVE have no defined correlation; they are
     kept with value 0.0 so the shared vulnerability stays visible.
-    Output is sorted by (a, b).
+    Output is sorted by (a, b), with a < b.
     """
-    return [sim for sim, _ in _similarities(graph)]
+    return [PairSimilarity(*record[:5]) for record in _similarities(graph)]

@@ -121,3 +121,39 @@ def random_prediction_setup(rng: random.Random):
         graph=graph,
     )
     return graph, result, predict(graph, result, PredictionConfig())
+
+
+def per_pair_reference(graph, result, config):
+    """similarity_matrix(graph) and predict(graph, result, config).predictions,
+    rebuilt pair by pair: oracles.common_vulnerabilities, pcc, same_type and
+    classify_pair on every asset pair, the rearrangement rule written out,
+    then one keyed sort into report order."""
+    import oracles
+    from attackcf.model import Classification, Prediction
+    from attackcf.prediction import classify_pair
+    from attackcf.similarity import PairSimilarity, pcc, same_type
+
+    ends = {(p.entry, p.target) for p in result.paths}
+    ids = sorted(a.id for a in graph.assets)
+    sims, preds = [], []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            shared = oracles.common_vulnerabilities(a, b, graph)
+            if not shared:
+                continue
+            if len(shared) == 1:
+                value, degenerate = 0.0, False
+            else:
+                value, degenerate = pcc([(sa, sb) for _, sa, sb in shared])
+            sims.append(PairSimilarity(a, b, value, len(shared), degenerate))
+            base = classify_pair(len(shared), same_type(a, b, graph), config)
+            for src, dst in ((a, b), (b, a)):
+                if (src, dst) in ends:
+                    level = Classification.VERY_HIGH
+                elif base is Classification.VERY_HIGH:
+                    level = Classification.HIGH
+                else:
+                    level = base
+                preds.append(Prediction(src, dst, level, value, len(shared), degenerate))
+    preds.sort(key=lambda p: (-p.level, p.src, p.dst))
+    return sims, preds

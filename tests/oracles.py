@@ -97,6 +97,19 @@ def discover_reference(adj, vulns_of, entries, targets, attacker, allowed, max_e
     return paths
 
 
+def common_vulnerabilities(a, b, graph):
+    """(cve, score on a, score on b) for each CVE on both assets, sorted by CVE.
+
+    graph.vulns_by_asset lists each asset's records in sorted order, so the
+    last record of a repeated CVE is the one kept, as in the package.
+    """
+    if a == b:
+        raise ValueError(f"assets must differ, got {a!r} for both")
+    on_a = {v.cve_id: v.score for v in graph.vulns_by_asset.get(a, ())}
+    on_b = {v.cve_id: v.score for v in graph.vulns_by_asset.get(b, ())}
+    return [(cve, on_a[cve], on_b[cve]) for cve in sorted(on_a) if cve in on_b]
+
+
 def classify_reference(n, types_agree, x1, x2, x3, x4):
     """Literal transcription of the tier rules."""
     if n >= x1 and types_agree:

@@ -1,7 +1,10 @@
+import dataclasses
+import functools
 import random
 
 import pytest
 
+from attackcf.bench import SynthSpec, generate
 from attackcf.discovery import DiscoveryResult, discover
 from attackcf.model import (
     Asset,
@@ -9,16 +12,22 @@ from attackcf.model import (
     AssetKind,
     AttackPath,
     Classification,
-    Prediction,
     PredictionConfig,
     VulnType,
     VulnerabilityInstance,
 )
-from attackcf.prediction import classify_pair, predict, rearrange, same_type
+from attackcf.prediction import (
+    PredictionReport,
+    _rearranged,
+    classify_pair,
+    predict,
+    same_type,
+)
 from attackcf.report import format_prediction_report
+from attackcf.similarity import similarity_matrix
 
 import oracles
-from conftest import office_config, random_prediction_setup
+from conftest import office_config, per_pair_reference, random_prediction_setup
 
 DEFAULTS = PredictionConfig()
 
@@ -126,38 +135,35 @@ class TestClassifyPair:
 
 
 class TestRearrange:
-    def _paths(self, *node_seqs):
-        paths = tuple(AttackPath(seq) for seq in node_seqs)
-        affected = frozenset(n for p in paths for n in p.nodes)
-        return DiscoveryResult(paths=paths, affected_assets=affected,
-                               graph=AssetGraph([Asset("X", "x", AssetKind.HARDWARE)]))
-
     def test_path_promotes_to_top(self):
-        pred = Prediction("A2", "A3", Classification.HIGH, 1.0, 3)
-        out = rearrange(pred, self._paths(("A2", "A3")))
-        assert out.level is Classification.VERY_HIGH
+        assert _rearranged(Classification.HIGH, True) is Classification.VERY_HIGH
 
     def test_no_path_leaves_high_alone(self):
-        pred = Prediction("A1", "A3", Classification.HIGH, 1.0, 3)
-        out = rearrange(pred, self._paths(("A2", "A3")))
-        assert out.level is Classification.HIGH
+        assert _rearranged(Classification.HIGH, False) is Classification.HIGH
 
     def test_top_without_path_demoted(self):
-        pred = Prediction("A1", "A3", Classification.VERY_HIGH, 1.0, 4)
-        out = rearrange(pred, self._paths(("A2", "A3")))
-        assert out.level is Classification.HIGH
+        assert _rearranged(Classification.VERY_HIGH, False) is Classification.HIGH
 
     def test_endpoints_not_transitive(self):
         # a multi-hop path A1->A2->A3 only certifies the (A1, A3) pair
-        pred = Prediction("A1", "A2", Classification.LOW, 0.0, 1)
-        out = rearrange(pred, self._paths(("A1", "A2", "A3")))
-        assert out.level is Classification.LOW
+        g = _graph_from_cells({("A1", "C1"): 5.0, ("A2", "C1"): 5.0,
+                               ("A1", "C2"): 5.0, ("A3", "C2"): 5.0})
+        path = AttackPath(("A1", "A2", "A3"))
+        result = DiscoveryResult(paths=(path,), affected_assets=frozenset(path.nodes),
+                                 graph=g)
+        got = {(p.src, p.dst): p.level for p in predict(g, result, DEFAULTS).predictions}
+        assert got == {
+            ("A1", "A3"): Classification.VERY_HIGH,
+            ("A1", "A2"): Classification.MEDIUM,
+            ("A2", "A1"): Classification.MEDIUM,
+            ("A3", "A1"): Classification.MEDIUM,
+        }
 
     def test_lower_tiers_untouched(self):
         for level in (Classification.MEDIUM, Classification.LOW,
                       Classification.VERY_LOW):
-            pred = Prediction("A1", "A3", level, 0.0, 1)
-            assert rearrange(pred, self._paths(("A2", "A3"))).level is level
+            assert _rearranged(level, False) is level
+            assert _rearranged(level, True) is Classification.VERY_HIGH
 
 
 class TestPredict:
@@ -274,3 +280,61 @@ class TestPredictProperties:
         first = format_prediction_report(predict(office, result, DEFAULTS))
         second = format_prediction_report(predict(office, result, DEFAULTS))
         assert first == second
+
+
+@functools.cache
+def _scale_graph(seed):
+    """A generated 150-asset graph and its per-pair reference similarities.
+
+    generate() gives every record of a CVE the same score and CWE; both are
+    redrawn per record, so pairs disagree in type, lack CWE data and have
+    non-degenerate correlations.  25 CVEs per asset make many pairs share
+    two or more.
+    """
+    rng = random.Random(seed)
+    generated = generate(SynthSpec(30, 120, 0.05, 25, seed))
+    vulns = [dataclasses.replace(v, score=float(rng.randint(0, 10)),
+                                 cwe_id=rng.choice(("CWE-1", "CWE-2", None)))
+             for v in generated.vulnerabilities]
+    graph = AssetGraph(generated.assets, vulns, generated.edges)
+    sims, _ = per_pair_reference(graph, _empty_result(graph), DEFAULTS)
+    return graph, sims
+
+
+class TestPredictAtScale:
+    """predict against the per-pair reference, in exact report order."""
+
+    @pytest.mark.parametrize("thresholds", [(3, 2, 1, 0), (4, 3, 2, 1)])
+    def test_matches_per_pair_reference_in_order(self, thresholds):
+        config = PredictionConfig(*thresholds)
+        graph, sims = _scale_graph(3)
+        assert sum(s.co_rated >= 2 for s in sims) > 500
+        assert similarity_matrix(graph) == sims
+
+        rng = random.Random(sum(thresholds))
+        ids = sorted(a.id for a in graph.assets)
+        very_high = [(s.a, s.b) for s in sims
+                     if s.co_rated >= config.x1 and same_type(s.a, s.b, graph)]
+        # one direction of every other very-high pair, and random other pairs,
+        # some through a middle node that the rule must ignore
+        ends = [rng.choice((pair, pair[::-1])) for pair in very_high[::2]]
+        ends += [tuple(rng.sample(ids, 2)) for _ in range(60)]
+        paths = tuple(
+            AttackPath((src, rng.choice([i for i in ids if i not in (src, dst)]), dst)
+                       if rng.random() < 0.5 else (src, dst))
+            for src, dst in ends)
+        result = DiscoveryResult(paths=paths, graph=graph,
+                                 affected_assets=frozenset(n for p in paths for n in p.nodes))
+
+        _, expected = per_pair_reference(graph, result, config)
+        report = predict(graph, result, config)
+        assert report.predictions == tuple(expected)
+        assert format_prediction_report(report) == format_prediction_report(
+            PredictionReport(tuple(expected), config))
+
+        level = {(p.src, p.dst): p.level for p in report.predictions}
+        one_way = [(src, dst) for (src, dst), lv in level.items()
+                   if lv is Classification.VERY_HIGH
+                   and level[(dst, src)] is Classification.HIGH]
+        assert len(one_way) >= 3
+        assert len(set(level.values())) >= 4

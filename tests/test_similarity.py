@@ -9,22 +9,21 @@ from attackcf.model import (
     AssetKind,
     AttackPath,
     Classification,
-    Prediction,
     PredictionConfig,
     VulnType,
     VulnerabilityInstance,
 )
-from attackcf.prediction import classify_pair, predict, rearrange
+from attackcf.prediction import predict
 from attackcf.similarity import (
     PairSimilarity,
     UndefinedSimilarityError,
-    common_vulnerabilities,
     pcc,
     same_type,
     similarity_matrix,
 )
 
 import oracles
+from conftest import per_pair_reference
 
 
 def _ratings_graph(ratings: dict[str, dict[str, float]]) -> AssetGraph:
@@ -52,22 +51,22 @@ RATINGS = {
 
 class TestCommonVulnerabilities:
     def test_three_shared(self, office):
-        common = common_vulnerabilities("A1", "A3", office)
+        common = oracles.common_vulnerabilities("A1", "A3", office)
         assert [c[0] for c in common] == [
             "CVE-2015-1769", "CVE-2015-2423", "CVE-2015-2433"
         ]
         assert common[0][1:] == (10.0, 10.0)
 
     def test_four_shared(self, office):
-        assert len(common_vulnerabilities("A1", "A2", office)) == 4
+        assert len(oracles.common_vulnerabilities("A1", "A2", office)) == 4
 
     def test_disjoint_assets(self):
         g = _ratings_graph({"X": {"I1": 5.0}, "Y": {"I2": 5.0}})
-        assert common_vulnerabilities("X", "Y", g) == []
+        assert oracles.common_vulnerabilities("X", "Y", g) == []
 
     def test_rejects_same_asset(self, office):
         with pytest.raises(ValueError):
-            common_vulnerabilities("A1", "A1", office)
+            oracles.common_vulnerabilities("A1", "A1", office)
 
 
 class TestPcc:
@@ -189,10 +188,10 @@ class TestSimilarityMatrix:
     def test_symmetric_by_construction(self, office):
         for s in similarity_matrix(office):
             direct, _ = pcc(
-                [(sa, sb) for _, sa, sb in common_vulnerabilities(s.a, s.b, office)]
+                [(sa, sb) for _, sa, sb in oracles.common_vulnerabilities(s.a, s.b, office)]
             )
             flipped, _ = pcc(
-                [(sb, sa) for _, sa, sb in common_vulnerabilities(s.a, s.b, office)]
+                [(sb, sa) for _, sa, sb in oracles.common_vulnerabilities(s.a, s.b, office)]
             )
             assert direct == flipped == s.value
 
@@ -232,27 +231,9 @@ class TestSharedCvePass:
         saw_duplicate = False
         for _ in range(200):
             graph, result = _random_case(rng)
-            ids = sorted(a.id for a in graph.assets)
             keys = [(v.cve_id, v.asset) for v in graph.vulnerabilities]
             saw_duplicate |= len(keys) != len(set(keys))
-            sims, preds = [], []
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    shared = common_vulnerabilities(a, b, graph)
-                    if not shared:
-                        continue
-                    if len(shared) == 1:
-                        value, degenerate = 0.0, False
-                    else:
-                        value, degenerate = pcc([(sa, sb) for _, sa, sb in shared])
-                    sims.append(PairSimilarity(a, b, value, len(shared), degenerate))
-                    level = classify_pair(len(shared), same_type(a, b, graph), config)
-                    preds += [
-                        rearrange(Prediction(src, dst, level, value, len(shared),
-                                             degenerate), result)
-                        for src, dst in ((a, b), (b, a))
-                    ]
-            preds.sort(key=lambda p: (-p.level, p.src, p.dst))
+            sims, preds = per_pair_reference(graph, result, config)
             assert similarity_matrix(graph) == sims
             assert predict(graph, result, config).predictions == tuple(preds)
         assert saw_duplicate
@@ -269,7 +250,7 @@ class TestSharedCvePass:
         last = {cve: max((v for v in x_records if v.cve_id == cve),
                          key=VulnerabilityInstance._sort_key) for cve in ("C1", "C2")}
         assert (last["C1"].score, last["C2"].cwe_id) == (8.0, "CWE-2")
-        assert common_vulnerabilities("X", "Y", g) == [("C1", 8.0, 5.0), ("C2", 4.0, 1.0)]
+        assert oracles.common_vulnerabilities("X", "Y", g) == [("C1", 8.0, 5.0), ("C2", 4.0, 1.0)]
         assert same_type("X", "Y", g)  # only C2's last record agrees with Y
         value, degenerate = pcc([(8.0, 5.0), (4.0, 1.0)])
         assert similarity_matrix(g) == [PairSimilarity("X", "Y", value, 2, degenerate)]
