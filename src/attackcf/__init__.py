@@ -40,7 +40,6 @@ from attackcf.discovery import (
     discover,
     entry_eligible,
     enumerate_simple_paths,
-    shortest_path_lengths,
 )
 from attackcf.similarity import (
     PairSimilarity,
@@ -97,7 +96,6 @@ __all__ = [
     "save_assets",
     "save_edges",
     "save_vulnerabilities",
-    "shortest_path_lengths",
     "similarity_matrix",
     "validate_model",
 ]

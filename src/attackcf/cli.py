@@ -113,9 +113,15 @@ def _load_matrix(path):
     cells = []
     for line_no, (capability, prop_len, n_entry, n_target) in _rows(path, 4, "matrix"):
         try:
-            cells.append((capability, int(prop_len), int(n_entry), int(n_target)))
+            prop_len, n_entry, n_target = int(prop_len), int(n_entry), int(n_target)
         except ValueError:
             raise IngestError(f"{path}:{line_no}: malformed matrix row") from None
+        if n_entry < 0 or n_target < 0:
+            raise IngestError(
+                f"{path}:{line_no}: n_entry and n_target must not be negative, "
+                f"got {n_entry} and {n_target}"
+            )
+        cells.append((capability, prop_len, n_entry, n_target))
     if not cells:
         raise IngestError(f"{path}: empty benchmark matrix")
     return tuple(cells)

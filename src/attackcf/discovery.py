@@ -2,13 +2,16 @@
 
 An entry point is eligible when the configured attacker meets the location
 and capability requirements of at least one of its vulnerabilities of an
-allowed type.  One reverse breadth-first search from the whole target set,
-stopped at the propagation length, gives every asset its distance to the
-nearest target.  Then one depth-first search per eligible entry enumerates
-the simple paths to every target at once: it records a path whenever it
-steps onto a target, keeps going past it, and never extends a partial path
-that could not reach a target within the propagation length (distance-
-bounded hop-constrained enumeration, as in BC-DFS, Peng et al., PVLDB 2019).
+allowed type.  One breadth-first search over the predecessor lists from the
+whole target set, stopped at the propagation length, gives every asset its
+distance to the nearest target; the targets are exactly the assets at
+distance 0.  Then one depth-first pass over the eligible entries, in
+ascending order, enumerates the simple paths to every target at once: it
+records a path whenever it steps onto a target, keeps going past it, and
+never extends a partial path that could not reach a target within the
+propagation length (distance-bounded hop-constrained enumeration, as in
+BC-DFS, Peng et al., PVLDB 2019).  enumerate_simple_paths runs the same
+search from one entry to one target.
 """
 
 from __future__ import annotations
@@ -62,22 +65,15 @@ def entry_eligible(
     return False
 
 
-def shortest_path_lengths(graph: AssetGraph, source: str) -> dict[str, int]:
-    """BFS distances in edge count from source; unreachable assets are absent."""
-    _require_asset(graph, source)
-    csr = graph.adjacency
-    dist = _kernels.bfs_lengths(csr.indptr, csr.indices, [csr.index[source]])
-    return {csr.ids[i]: d for i, d in enumerate(dist) if d >= 0}
-
-
-def _to_paths(ids: tuple[str, ...], flat, lens) -> list[AttackPath]:
-    names = [ids[i] for i in flat]
-    out: list[AttackPath] = []
-    pos = 0
-    for ln in lens:
-        out.append(AttackPath(names[pos:pos + ln]))
-        pos += ln
-    return out
+def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[AttackPath]:
+    """Every simple path of at most max_len edges from sources (ascending
+    asset ids) to targets, sorted by node-id sequence."""
+    adj = graph.adjacency
+    to_target = _kernels.bfs_lengths(adj.pred, [adj.index[t] for t in targets], max_len)
+    found = _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
+                                  to_target, max_len)
+    # sources ascend and indices sort like ids, so found is already sorted
+    return [AttackPath(p) for p in found]
 
 
 def enumerate_simple_paths(
@@ -96,31 +92,17 @@ def enumerate_simple_paths(
         raise ValueError(f"entry and target must differ, got {entry!r} for both")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    csr = graph.adjacency
-    dst = csr.index[target]
-    is_target = [False] * len(csr.ids)
-    is_target[dst] = True
-    to_target = [0] * len(csr.ids)
-    to_target[dst] = -1  # a simple path cannot return to its only target
-    flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[entry],
-                                       is_target, to_target, max_len)
-    return _to_paths(csr.ids, flat, lens)
+    return _search(graph, [entry], [target], max_len)
 
 
-def discover(
-    graph: AssetGraph,
-    config: DiscoveryConfig,
-    prune: bool = True,
-) -> DiscoveryResult:
+def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
     """Enumerate every bounded attack path from eligible entries to targets.
 
-    The graph is assumed structurally valid (see validate_model).  prune
-    bounds the search by each asset's distance to the nearest target; it
-    never changes the result, only skips hopeless branches.
+    The graph is assumed structurally valid (see validate_model).
     """
-    csr = graph.adjacency
-    entries = sorted(config.entry_points & csr.index.keys())
-    targets = sorted(config.target_points & csr.index.keys())
+    index = graph.adjacency.index
+    entries = sorted(config.entry_points & index.keys())
+    targets = sorted(config.target_points & index.keys())
     if not entries:
         raise ValueError("no configured entry point exists in the graph")
     if not targets:
@@ -139,22 +121,6 @@ def discover(
             no_eligible_entries=True,
         )
 
-    max_len = config.propagation_length
-    target_ids = [csr.index[t] for t in targets]
-    is_target = [False] * len(csr.ids)
-    for t in target_ids:
-        is_target[t] = True
-    if prune:
-        to_target = _kernels.bfs_lengths(csr.rindptr, csr.rindices, target_ids,
-                                         max_len)
-    else:
-        to_target = [0] * len(csr.ids)
-    found: list[AttackPath] = []
-    for e in eligible:
-        flat, lens = _kernels.simple_paths(csr.indptr, csr.indices, csr.index[e],
-                                           is_target, to_target, max_len)
-        found.extend(_to_paths(csr.ids, flat, lens))
-
-    # entries ascend and indices sort like ids, so found is already sorted
+    found = _search(graph, eligible, targets, config.propagation_length)
     affected = frozenset(n for p in found for n in p.nodes)
     return DiscoveryResult(paths=tuple(found), affected_assets=affected, graph=graph)

@@ -86,26 +86,15 @@ class VulnerabilityInstance:
 
 
 class Adjacency(NamedTuple):
-    """CSR adjacency over the sorted asset ids: node i is ids[i] (index maps back),
-    its successors are indices[indptr[i]:indptr[i + 1]] and its predecessors
-    rindices[rindptr[i]:rindptr[i + 1]], both in ascending order.  The four
-    CSR fields are plain lists of int, which the kernels index fastest."""
+    """Graph index over the sorted asset ids: node i is ids[i] (index maps
+    back), succ[i] lists the nodes it has an edge to and pred[i] the nodes
+    with an edge to it, both ascending.  Every row is a plain list of int,
+    which the kernels index fastest."""
 
     ids: tuple[str, ...]
     index: dict[str, int]
-    indptr: list[int]
-    indices: list[int]
-    rindptr: list[int]
-    rindices: list[int]
-
-
-def _csr(rows: list[list[int]]) -> tuple[list[int], list[int]]:
-    indptr = [0]
-    indices: list[int] = []
-    for row in rows:
-        indices += row
-        indptr.append(len(indices))
-    return indptr, indices
+    succ: list[list[int]]
+    pred: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -159,7 +148,7 @@ class AssetGraph:
             i, j = index[s], index[d]
             succ[i].append(j)
             pred[j].append(i)
-        return Adjacency(ids, index, *_csr(succ), *_csr(pred))
+        return Adjacency(ids, index, succ, pred)
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.asset_by_id

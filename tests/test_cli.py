@@ -198,6 +198,9 @@ class TestBenchCommand:
         ("High,2,3\n", ":2: matrix row needs 4 fields, got 3"),
         ("High,2,3,3\nHigh,two,3,3\n", ":3: malformed matrix row"),
         ("", ": empty benchmark matrix"),
+        ("High,2,-1,3\n", ":2: n_entry and n_target must not be negative, got -1 and 3"),
+        ("High,2,3,3\nHigh,2,3,-2\n",
+         ":3: n_entry and n_target must not be negative, got 3 and -2"),
     ])
     def test_bad_matrix_file_is_data_error(self, tmp_path, capsys, body, message):
         matrix = tmp_path / "matrix.csv"

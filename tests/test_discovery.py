@@ -3,12 +3,7 @@ import random
 import pytest
 
 from attackcf import _kernels
-from attackcf.discovery import (
-    discover,
-    entry_eligible,
-    enumerate_simple_paths,
-    shortest_path_lengths,
-)
+from attackcf.discovery import discover, entry_eligible, enumerate_simple_paths
 from attackcf.model import (
     Asset,
     AssetGraph,
@@ -22,6 +17,13 @@ from attackcf.model import (
 
 import oracles
 from conftest import graph_with_uniform_vulns, office_config, random_digraph
+
+
+def _successor_sets(edges):
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+    return adj
 
 
 def _single_vuln_graph(vtype, loc, cap, edges=()):
@@ -77,23 +79,6 @@ class TestEntryEligible:
                     assert eligibility[(loc, 3)]
 
 
-class TestShortestPathLengths:
-    def test_office_topology_from_a1(self, office):
-        assert shortest_path_lengths(office, "A1") == {"A1": 0, "A2": 1, "A3": 2}
-
-    def test_sink_maps_to_itself_only(self, office):
-        assert shortest_path_lengths(office, "A3") == {"A3": 0}
-
-    def test_isolated_source(self):
-        g = AssetGraph([Asset("X", "x", AssetKind.HARDWARE),
-                        Asset("Y", "y", AssetKind.HARDWARE)])
-        assert shortest_path_lengths(g, "X") == {"X": 0}
-
-    def test_unknown_source(self, office):
-        with pytest.raises(KeyError):
-            shortest_path_lengths(office, "Q9")
-
-
 class TestEnumerateSimplePaths:
     def test_two_hop_path(self, office):
         paths = enumerate_simple_paths(office, "A1", "A3", 3)
@@ -131,6 +116,17 @@ class TestEnumerateSimplePaths:
         paths = [p.nodes for p in enumerate_simple_paths(g, "A", "D", 3)]
         assert paths == sorted(paths)
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_recursive_oracle(self, seed):
+        rng = random.Random(6000 + seed)
+        nodes, edges = random_digraph(rng, rng.randint(2, 10), rng.uniform(0.1, 0.5))
+        g = graph_with_uniform_vulns(nodes, edges)
+        entry, target = rng.sample(nodes, 2)
+        max_len = rng.randint(1, 9)
+        adj = _successor_sets(edges)
+        got = [p.nodes for p in enumerate_simple_paths(g, entry, target, max_len)]
+        assert got == sorted(oracles.simple_paths_recursive(adj, entry, target, max_len))
+
 
 class TestDiscover:
     def test_office_case(self, office):
@@ -164,9 +160,9 @@ class TestDiscover:
         seen = []
 
         def recording(name, kernel):
-            def wrapper(indptr, indices, *args, **kwargs):
-                seen.append((name, indptr, indices))
-                return kernel(indptr, indices, *args, **kwargs)
+            def wrapper(rows, *args):
+                seen.append((name, rows))
+                return kernel(rows, *args)
             return wrapper
 
         monkeypatch.setattr(_kernels, "bfs_lengths",
@@ -174,26 +170,21 @@ class TestDiscover:
         monkeypatch.setattr(_kernels, "simple_paths",
                             recording("dfs", _kernels.simple_paths))
         discover(office, office_config(propagation_length=3))
-        shortest_path_lengths(office, "A1")
         enumerate_simple_paths(office, "A1", "A3", 2)
         adj = office.adjacency
-        forward, reverse = (adj.indptr, adj.indices), (adj.rindptr, adj.rindices)
-        # discover: one reverse BFS from the targets, one DFS per eligible
-        # entry (A1, A2); then one BFS and one DFS for the two direct calls
-        expected = [("bfs", reverse), ("dfs", forward), ("dfs", forward),
-                    ("bfs", forward), ("dfs", forward)]
+        # each call: one BFS over the predecessors from the targets, then one
+        # DFS over the successors from every eligible entry (A1 and A2 here)
+        expected = [("bfs", adj.pred), ("dfs", adj.succ)] * 2
         assert len(seen) == len(expected)
-        for (name, indptr, indices), (want_name, (want_ptr, want_idx)) in zip(
-                seen, expected):
+        for (name, rows), (want_name, want_rows) in zip(seen, expected):
             assert name == want_name
-            assert indptr is want_ptr and indices is want_idx
+            assert rows is want_rows
 
     def test_path_through_a_target_reaches_the_next(self):
         g = graph_with_uniform_vulns(["E", "T1", "T2"], {("E", "T1"), ("T1", "T2")})
         config = DiscoveryConfig({"E"}, {"T1", "T2"}, AttackerProfile(3, 3), 2)
-        for prune in (True, False):
-            got = [p.nodes for p in discover(g, config, prune=prune).paths]
-            assert got == [("E", "T1"), ("E", "T1", "T2")]
+        got = [p.nodes for p in discover(g, config).paths]
+        assert got == [("E", "T1"), ("E", "T1", "T2")]
 
     def test_entry_that_is_a_target_is_never_a_path_end(self):
         nodes = ["A", "B", "C"]
@@ -223,9 +214,7 @@ class TestDiscover:
         config = DiscoveryConfig(entries, targets, AttackerProfile(3, 3), max_len)
         got = {p.nodes for p in discover(g, config).paths}
 
-        adj = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
+        adj = _successor_sets(edges)
         vulns_of = {n: [(VulnType.CODE_EXECUTION, 1, 1)] for n in nodes}
         expected = oracles.discover_reference(
             adj, vulns_of, entries, targets, (3, 3), DEFAULT_ALLOWED_TYPES, max_len
@@ -276,12 +265,19 @@ class TestDiscoverProperties:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_pruning_safety(self, seed):
+        # the distance bound only skips branches: the result is exactly the
+        # unpruned per-pair enumeration, in order
         rng = random.Random(3000 + seed)
         g, config = self._random_case(rng)
-        pruned = discover(g, config, prune=True)
-        unpruned = discover(g, config, prune=False)
-        assert pruned.paths == unpruned.paths
-        assert pruned.affected_assets == unpruned.affected_assets
+        adj = _successor_sets(g.edges)
+        vulns_of = {a.id: [(VulnType.CODE_EXECUTION, 1, 1)] for a in g.assets}
+        expected = sorted(oracles.discover_reference(
+            adj, vulns_of, config.entry_points, config.target_points, (3, 3),
+            DEFAULT_ALLOWED_TYPES, config.propagation_length,
+        ))
+        result = discover(g, config)
+        assert [p.nodes for p in result.paths] == expected
+        assert result.affected_assets == {n for p in expected for n in p}
 
     @pytest.mark.parametrize("seed", range(40))
     def test_propagation_length_monotonicity(self, seed):
@@ -315,17 +311,14 @@ class TestDiscoverProperties:
         max_len = rng.randint(1, 7)
         config = DiscoveryConfig(entries, targets, attacker, max_len)
 
-        adj = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
+        adj = _successor_sets(edges)
         vulns_of = {n: [(VulnType.CODE_EXECUTION, 1, c)] for n, c in caps.items()}
         expected = sorted(oracles.discover_reference(
             adj, vulns_of, entries, targets, (attacker.location, attacker.capability),
             DEFAULT_ALLOWED_TYPES, max_len,
         ))
-        for prune in (True, False):
-            got = [p.nodes for p in discover(g, config, prune=prune).paths]
-            assert got == expected
+        got = [p.nodes for p in discover(g, config).paths]
+        assert got == expected
 
     def test_duplicate_paths_never_emitted(self):
         rng = random.Random(77)

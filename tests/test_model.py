@@ -122,17 +122,17 @@ class TestAssetGraph:
         assert adj.ids == ("A1", "A2", "A3")
         assert adj.index == {"A1": 0, "A2": 1, "A3": 2}
         # the kernels index plain lists of int, never numpy scalars
-        for field in (adj.indptr, adj.indices, adj.rindptr, adj.rindices):
-            assert type(field) is list
-            assert all(type(x) is int for x in field)
+        for rows in (adj.succ, adj.pred):
+            assert type(rows) is list
+            for r in rows:
+                assert type(r) is list
+                assert all(type(x) is int for x in r)
 
         def row(aid):
-            i = adj.index[aid]
-            return tuple(adj.ids[j] for j in adj.indices[adj.indptr[i]:adj.indptr[i + 1]])
+            return tuple(adj.ids[j] for j in adj.succ[adj.index[aid]])
 
         def predecessors(aid):
-            i = adj.index[aid]
-            return tuple(adj.ids[j] for j in adj.rindices[adj.rindptr[i]:adj.rindptr[i + 1]])
+            return tuple(adj.ids[j] for j in adj.pred[adj.index[aid]])
 
         assert row("A1") == ("A2", "A3")
         assert row("A3") == ()
@@ -146,8 +146,7 @@ class TestAssetGraph:
         edges = {(u, v) for u in ids for v in ids if u != v and rng.random() < 0.3}
         adj = AssetGraph([Asset(x, x, AssetKind.HARDWARE) for x in ids], edges=edges).adjacency
         for v in ids:
-            i = adj.index[v]
-            preds = [adj.ids[j] for j in adj.rindices[adj.rindptr[i]:adj.rindptr[i + 1]]]
+            preds = [adj.ids[j] for j in adj.pred[adj.index[v]]]
             assert preds == sorted(u for u, w in edges if w == v)
 
 
