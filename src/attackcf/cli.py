@@ -13,6 +13,7 @@ from pathlib import Path
 
 from attackcf import __version__
 from attackcf.bench import (
+    CAPABILITY_PROFILES,
     DEFAULT_MATRIX,
     SynthSpec,
     generate,
@@ -116,6 +117,16 @@ def _load_matrix(path):
             prop_len, n_entry, n_target = int(prop_len), int(n_entry), int(n_target)
         except ValueError:
             raise IngestError(f"{path}:{line_no}: malformed matrix row") from None
+        if capability not in CAPABILITY_PROFILES:
+            raise IngestError(
+                f"{path}:{line_no}: unknown capability label {capability!r}; "
+                f"accepted: {', '.join(CAPABILITY_PROFILES)}"
+            )
+        if prop_len < 1:
+            raise IngestError(
+                f"{path}:{line_no}: propagation_length must be a positive integer, "
+                f"got {prop_len}"
+            )
         if n_entry < 0 or n_target < 0:
             raise IngestError(
                 f"{path}:{line_no}: n_entry and n_target must not be negative, "

@@ -65,15 +65,15 @@ def entry_eligible(
     return False
 
 
-def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[AttackPath]:
+def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[tuple[str, ...]]:
     """Every simple path of at most max_len edges from sources (ascending
-    asset ids) to targets, sorted by node-id sequence."""
+    asset ids) to targets, as a tuple of asset ids, sorted by node-id
+    sequence."""
     adj = graph.adjacency
     to_target = _kernels.bfs_lengths(adj.pred, [adj.index[t] for t in targets], max_len)
-    found = _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
-                                  to_target, max_len)
-    # sources ascend and indices sort like ids, so found is already sorted
-    return [AttackPath(p) for p in found]
+    # sources ascend and indices sort like ids, so the paths come out sorted
+    return _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
+                                 to_target, max_len)
 
 
 def enumerate_simple_paths(
@@ -92,7 +92,7 @@ def enumerate_simple_paths(
         raise ValueError(f"entry and target must differ, got {entry!r} for both")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    return _search(graph, [entry], [target], max_len)
+    return list(map(AttackPath, _search(graph, [entry], [target], max_len)))
 
 
 def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
@@ -122,5 +122,8 @@ def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
         )
 
     found = _search(graph, eligible, targets, config.propagation_length)
-    affected = frozenset(n for p in found for n in p.nodes)
-    return DiscoveryResult(paths=tuple(found), affected_assets=affected, graph=graph)
+    return DiscoveryResult(
+        paths=tuple(map(AttackPath, found)),
+        affected_assets=frozenset().union(*found),
+        graph=graph,
+    )

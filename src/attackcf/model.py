@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
+from itertools import combinations, groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -103,7 +105,9 @@ class AssetGraph:
 
     Construction normalises the three collections to sorted, de-duplicated
     tuples so that structurally equal models compare equal regardless of
-    input order.
+    input order.  The graph indexes (adjacency for traversal, shared_cves
+    for similarity) are built on first use, at most once per graph, and
+    shared by every algorithm that reads them.
     """
 
     assets: tuple[Asset, ...]
@@ -149,6 +153,25 @@ class AssetGraph:
             succ[i].append(j)
             pred[j].append(i)
         return Adjacency(ids, index, succ, pred)
+
+    @cached_property
+    def shared_cves(self) -> tuple[tuple[str, str, tuple[tuple[float, float, bool], ...]], ...]:
+        """(a, b, rows) for each asset pair sharing a CVE, sorted by (a, b)
+        with a < b.  rows holds one (score on a, score on b, same CWE) per
+        shared CVE, in CVE order; absent CWE data never counts as the same.
+
+        One pass over the CVEs; assets missing from the graph are skipped.
+        """
+        known = self.asset_by_id
+        shared: dict[tuple[str, str], list[tuple[float, float, bool]]] = {}
+        for _, group in groupby(self.vulnerabilities, key=attrgetter("cve_id")):
+            # records sort by (cve, asset, ...): each asset's last record, in id order
+            holders = {v.asset: v for v in group if v.asset in known}
+            for va, vb in combinations(holders.values(), 2):
+                shared.setdefault((va.asset, vb.asset), []).append(
+                    (va.score, vb.score, va.cwe_id is not None and va.cwe_id == vb.cwe_id))
+        # pop frees each pair's list once its tuple is built
+        return tuple((a, b, tuple(shared.pop((a, b)))) for a, b in sorted(shared))
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.asset_by_id
@@ -198,7 +221,7 @@ class DiscoveryConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackPath:
     """An ordered, non-repeating asset sequence from an entry point to a target point."""
 
@@ -255,7 +278,7 @@ class PredictionConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """A classified directed asset pair.
 

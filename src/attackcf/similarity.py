@@ -15,7 +15,10 @@ Two fallback rules cover inputs the correlation formula cannot grade:
 
 Both fallbacks are flagged as degenerate in the results.
 
-When one asset carries the same CVE twice, the record that sorts last by
+The CVEs each asset pair shares come from AssetGraph.shared_cves, an
+index built in one pass over the CVEs at most once per graph, so
+similarity_matrix and every predict call on one graph share it.  When one
+asset carries the same CVE twice, the record that sorts last by
 VulnerabilityInstance._sort_key supplies its score and CWE; the others
 are ignored.  validate_model flags such input, so the CLI rejects it.
 """
@@ -23,8 +26,6 @@ are ignored.  validate_model flags such input, so the CLI rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -96,19 +97,11 @@ def _similarities(graph: AssetGraph) -> Iterator[tuple[str, str, float, int, boo
     """(a, b, value, co_rated, degenerate, same_type) for each asset pair
     sharing a CVE, sorted by (a, b) with a < b.
 
-    One pass over the CVEs collects each pair's (score on a, score on b,
-    same CWE) rows; assets missing from the graph are skipped.
+    Reads the pairs and their (score on a, score on b, same CWE) rows from
+    the graph's shared_cves index, built once per graph, and grades each
+    pair with pcc.
     """
-    known = graph.asset_by_id
-    shared: dict[tuple[str, str], list[tuple[float, float, bool]]] = {}
-    for _, group in groupby(graph.vulnerabilities, key=attrgetter("cve_id")):
-        # records sort by (cve, asset, ...): each asset's last record, in id order
-        holders = {v.asset: v for v in group if v.asset in known}
-        for va, vb in combinations(holders.values(), 2):
-            shared.setdefault((va.asset, vb.asset), []).append(
-                (va.score, vb.score, va.cwe_id is not None and va.cwe_id == vb.cwe_id))
-    for a, b in sorted(shared):
-        rows = shared.pop((a, b))  # frees each pair's rows once it is yielded
+    for a, b, rows in graph.shared_cves:
         if len(rows) == 1:
             yield a, b, 0.0, 1, False, rows[0][2]
         else:

@@ -201,6 +201,11 @@ class TestBenchCommand:
         ("High,2,-1,3\n", ":2: n_entry and n_target must not be negative, got -1 and 3"),
         ("High,2,3,3\nHigh,2,3,-2\n",
          ":3: n_entry and n_target must not be negative, got 3 and -2"),
+        ("High,0,3,3\n", ":2: propagation_length must be a positive integer, got 0"),
+        ("High,2,3,3\nHigh,-2,3,3\n",
+         ":3: propagation_length must be a positive integer, got -2"),
+        ("Bogus,3,3,3\n",
+         ":2: unknown capability label 'Bogus'; accepted: Low, Medium, High"),
     ])
     def test_bad_matrix_file_is_data_error(self, tmp_path, capsys, body, message):
         matrix = tmp_path / "matrix.csv"

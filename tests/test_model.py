@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -227,3 +228,14 @@ class TestAttackPath:
 def test_prediction_rejects_self_pair():
     with pytest.raises(ValueError):
         Prediction("A1", "A1", Classification.HIGH, 0.0, 1)
+
+
+@pytest.mark.parametrize("value, field", [
+    (AttackPath(["A1", "A2"]), "nodes"),
+    (Prediction("A1", "A2", Classification.HIGH, 0.5, 2), "level"),
+])
+def test_result_types_are_slotted_and_frozen(value, field):
+    # one instance per path or prediction: no per-instance __dict__
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))

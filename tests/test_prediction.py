@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from attackcf import model
 from attackcf.bench import SynthSpec, generate
 from attackcf.discovery import DiscoveryResult, discover
 from attackcf.model import (
@@ -11,7 +12,9 @@ from attackcf.model import (
     AssetGraph,
     AssetKind,
     AttackPath,
+    AttackerProfile,
     Classification,
+    DiscoveryConfig,
     PredictionConfig,
     VulnType,
     VulnerabilityInstance,
@@ -338,3 +341,38 @@ class TestPredictAtScale:
                    and level[(dst, src)] is Classification.HIGH]
         assert len(one_way) >= 3
         assert len(set(level.values())) >= 4
+
+    def test_all_analyses_share_one_cve_pass(self, monkeypatch):
+        base, _ = _scale_graph(3)
+        ids = sorted(a.id for a in base.assets)
+        hardware = [a.id for a in base.assets if a.kind is AssetKind.HARDWARE]
+        # the weakest attacker fails on some entries; the thresholds differ
+        runs = [(AttackerProfile(1, 1), PredictionConfig(3, 2, 1, 0)),
+                (AttackerProfile(3, 3), PredictionConfig(4, 3, 2, 1)),
+                (AttackerProfile(2, 2), PredictionConfig())]
+
+        def fresh():
+            return AssetGraph(base.assets, base.vulnerabilities, base.edges)
+
+        def analyse(graph, attacker, config):
+            found = discover(graph, DiscoveryConfig(hardware, ids[::5], attacker, 3))
+            return predict(graph, found, config)
+
+        # each reference comes from a graph of its own
+        expected_sims = similarity_matrix(fresh())
+        expected = [analyse(fresh(), *run) for run in runs]
+        assert len({r.predictions for r in expected}) == len(runs)
+
+        passes = []
+        groupby = model.groupby
+
+        def recording(records, key):
+            passes.append(records)
+            return groupby(records, key=key)
+
+        monkeypatch.setattr(model, "groupby", recording)
+        graph = fresh()
+        assert similarity_matrix(graph) == expected_sims
+        assert [analyse(graph, *run) for run in runs] == expected
+        assert len(passes) == 1
+        assert passes[0] is graph.vulnerabilities
