@@ -10,8 +10,9 @@ backbone.
 
 The harness times discover() over a matrix of (capability, propagation
 length, entry count, target count) cells, three repetitions with the
-median reported.  Every record names the kernel backend it timed, which
-is always python: attackcf._kernels has one pure-Python implementation.
+median reported.  _check_cell holds the rules for a valid cell, and
+run_bench checks every cell before it times any.  The CSV's backend
+column reads python: attackcf._kernels has one pure-Python implementation.
 """
 
 from __future__ import annotations
@@ -95,7 +96,23 @@ class BenchRecord:
     n_target: int
     wall_time: float
     n_paths: int
-    backend: str
+
+
+def _check_cell(capability, propagation_length, n_entry, n_target) -> None:
+    """Raise ValueError unless the cell can be timed."""
+    if capability not in CAPABILITY_PROFILES:
+        raise ValueError(
+            f"unknown capability label {capability!r}; "
+            f"accepted: {', '.join(CAPABILITY_PROFILES)}"
+        )
+    if type(propagation_length) is not int or propagation_length < 1:
+        raise ValueError(
+            f"propagation_length must be a positive integer, got {propagation_length!r}"
+        )
+    if n_entry < 0 or n_target < 0:
+        raise ValueError(
+            f"n_entry and n_target must not be negative, got {n_entry} and {n_target}"
+        )
 
 
 def generate(spec: SynthSpec) -> AssetGraph:
@@ -170,19 +187,15 @@ def run_bench(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    matrix = tuple(matrix)
+    for cell in matrix:
+        _check_cell(*cell)
     ids = sorted(a.id for a in graph.assets)
     # entries are drawn from the hardware backbone: attacks initiate from
     # the reachable infrastructure nodes, targets can be anything
     hw_ids = sorted(a.id for a in graph.assets if a.kind is AssetKind.HARDWARE) or ids
     records: list[BenchRecord] = []
     for capability, prop_len, n_entry, n_target in matrix:
-        try:
-            attacker = CAPABILITY_PROFILES[capability]
-        except KeyError:
-            raise ValueError(
-                f"unknown capability label {capability!r}; "
-                f"accepted: {', '.join(CAPABILITY_PROFILES)}"
-            ) from None
         cell_rng = np.random.default_rng([spec.seed, n_entry, n_target])
         entries = cell_rng.choice(hw_ids, size=min(n_entry, len(hw_ids)), replace=False)
         targets = cell_rng.choice(ids, size=min(n_target, len(ids)), replace=False)
@@ -192,7 +205,7 @@ def run_bench(
             config = DiscoveryConfig(
                 entry_points=entries,
                 target_points=targets,
-                attacker=attacker,
+                attacker=CAPABILITY_PROFILES[capability],
                 propagation_length=prop_len,
             )
             times = []
@@ -211,7 +224,6 @@ def run_bench(
                 n_target=n_target,
                 wall_time=wall_time,
                 n_paths=n_paths,
-                backend="python",
             )
         )
     return records
@@ -225,5 +237,5 @@ def write_bench_csv(path, records: list[BenchRecord]) -> None:
         for i, r in enumerate(records, start=1):
             writer.writerow(
                 [i, r.capability, r.propagation_length, r.n_entry, r.n_target,
-                 f"{r.wall_time:.6f}", r.n_paths, r.spec.seed, r.backend]
+                 f"{r.wall_time:.6f}", r.n_paths, r.spec.seed, "python"]
             )

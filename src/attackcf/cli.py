@@ -13,9 +13,9 @@ from pathlib import Path
 
 from attackcf import __version__
 from attackcf.bench import (
-    CAPABILITY_PROFILES,
     DEFAULT_MATRIX,
     SynthSpec,
+    _check_cell,
     generate,
     run_bench,
     write_bench_csv,
@@ -117,22 +117,12 @@ def _load_matrix(path):
             prop_len, n_entry, n_target = int(prop_len), int(n_entry), int(n_target)
         except ValueError:
             raise IngestError(f"{path}:{line_no}: malformed matrix row") from None
-        if capability not in CAPABILITY_PROFILES:
-            raise IngestError(
-                f"{path}:{line_no}: unknown capability label {capability!r}; "
-                f"accepted: {', '.join(CAPABILITY_PROFILES)}"
-            )
-        if prop_len < 1:
-            raise IngestError(
-                f"{path}:{line_no}: propagation_length must be a positive integer, "
-                f"got {prop_len}"
-            )
-        if n_entry < 0 or n_target < 0:
-            raise IngestError(
-                f"{path}:{line_no}: n_entry and n_target must not be negative, "
-                f"got {n_entry} and {n_target}"
-            )
-        cells.append((capability, prop_len, n_entry, n_target))
+        cell = (capability, prop_len, n_entry, n_target)
+        try:
+            _check_cell(*cell)
+        except ValueError as exc:
+            raise IngestError(f"{path}:{line_no}: {exc}") from None
+        cells.append(cell)
     if not cells:
         raise IngestError(f"{path}: empty benchmark matrix")
     return tuple(cells)

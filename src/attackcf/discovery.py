@@ -30,7 +30,7 @@ from attackcf.model import (
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Discovered paths, the assets they touch, and the graph they came from.
+    """Discovered paths and the assets they touch.
 
     no_eligible_entries is set when every configured entry point failed the
     attacker/vulnerability-type guard; an empty result is data, not an error.
@@ -38,12 +38,11 @@ class DiscoveryResult:
 
     paths: tuple[AttackPath, ...]
     affected_assets: frozenset[str]
-    graph: AssetGraph
     no_eligible_entries: bool = False
 
 
 def _require_asset(graph: AssetGraph, asset_id: str) -> None:
-    if not graph.has_asset(asset_id):
+    if asset_id not in graph.asset_by_id:
         raise KeyError(f"unknown asset id {asset_id!r}")
 
 
@@ -90,8 +89,8 @@ def enumerate_simple_paths(
     _require_asset(graph, target)
     if entry == target:
         raise ValueError(f"entry and target must differ, got {entry!r} for both")
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    if type(max_len) is not int or max_len < 1:
+        raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
     return list(map(AttackPath, _search(graph, [entry], [target], max_len)))
 
 
@@ -117,7 +116,6 @@ def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
         return DiscoveryResult(
             paths=(),
             affected_assets=frozenset(),
-            graph=graph,
             no_eligible_entries=True,
         )
 
@@ -125,5 +123,4 @@ def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
     return DiscoveryResult(
         paths=tuple(map(AttackPath, found)),
         affected_assets=frozenset().union(*found),
-        graph=graph,
     )

@@ -300,12 +300,11 @@ def load_bundle(assets_path, vulns_path, edges_path, config_path) -> ModelBundle
     """Load model and config files, checking that config references resolve."""
     graph = load_model(assets_path, vulns_path, edges_path)
     discovery, prediction = load_config(config_path)
-    known = {a.id for a in graph.assets}
     for label, points in (
         ("entry_points", discovery.entry_points),
         ("target_points", discovery.target_points),
     ):
-        missing = sorted(points - known)
+        missing = sorted(points.difference(graph.asset_by_id))
         if missing:
             raise ConfigError(
                 f"{config_path}: {label} reference unknown assets: {', '.join(missing)}"

@@ -173,9 +173,6 @@ class AssetGraph:
         # pop frees each pair's list once its tuple is built
         return tuple((a, b, tuple(shared.pop((a, b)))) for a, b in sorted(shared))
 
-    def has_asset(self, asset_id: str) -> bool:
-        return asset_id in self.asset_by_id
-
 
 @dataclass(frozen=True)
 class AttackerProfile:
@@ -308,12 +305,11 @@ def validate_model(graph: AssetGraph) -> list[str]:
     """
     violations: list[str] = []
 
-    seen_ids: set[str] = set()
+    ids: set[str] = set()
     for a in graph.assets:
-        if a.id in seen_ids:
+        if a.id in ids:
             violations.append(f"duplicate asset id {a.id}")
-        seen_ids.add(a.id)
-    ids = {a.id for a in graph.assets}
+        ids.add(a.id)
 
     for a in graph.assets:
         if a.host is not None:

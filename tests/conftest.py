@@ -118,7 +118,6 @@ def random_prediction_setup(rng: random.Random):
     result = DiscoveryResult(
         paths=paths,
         affected_assets=frozenset(n for p in paths for n in p.nodes),
-        graph=graph,
     )
     return graph, result, predict(graph, result, PredictionConfig())
 

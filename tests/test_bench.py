@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from attackcf import bench
 from attackcf.bench import (
     DEFAULT_MATRIX,
     SynthSpec,
@@ -102,9 +105,24 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(generate(SMALL), SMALL, repetitions=0)
 
-    def test_rejects_unknown_capability(self):
-        with pytest.raises(ValueError, match="Ultra"):
-            run_bench(generate(SMALL), SMALL, (("Ultra", 3, 2, 2),), repetitions=1)
+    @pytest.mark.parametrize("cell, message", [
+        (("High", 3, -1, 5), "n_entry and n_target must not be negative, got -1 and 5"),
+        (("High", 0, 5, 5), "propagation_length must be a positive integer, got 0"),
+        (("Bogus", 3, 5, 5),
+         "unknown capability label 'Bogus'; accepted: Low, Medium, High"),
+    ], ids=["negative-count", "zero-length", "unknown-capability"])
+    def test_rejects_invalid_cell_before_timing(self, monkeypatch, cell, message):
+        calls = []
+        monkeypatch.setattr(bench, "discover", lambda *a: calls.append(a))
+        matrix = (("High", 3, 2, 2), cell)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_bench(generate(SMALL), SMALL, matrix, repetitions=1)
+        assert calls == []
+
+    def test_matrix_may_be_an_iterator(self):
+        # the cells are checked before any is timed, so they are read twice
+        records = run_bench(generate(SMALL), SMALL, iter(DEFAULT_MATRIX[:3]), repetitions=1)
+        assert len(records) == 3
 
     def test_paper_scale_path_counts(self):
         # the default `attackcf bench` spec: 35 hardware + 145 software assets
@@ -113,9 +131,11 @@ class TestRunBench:
         assert [r.n_paths for r in records] == [
             2, 4, 8, 2, 4, 10, 2, 4, 10, 174, 692, 13052]
 
-    def test_records_name_python_and_repeat_counts(self):
+    def test_records_name_python_and_repeat_counts(self, tmp_path):
         records = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3], repetitions=1)
-        assert [r.backend for r in records] == ["python"] * 3
+        write_bench_csv(tmp_path / "bench.csv", records)
+        rows = (tmp_path / "bench.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["python"] * 3
         reference = run_bench(generate(SMALL), SMALL, DEFAULT_MATRIX[:3], repetitions=1)
         assert [r.n_paths for r in records] == [r.n_paths for r in reference]
 
@@ -123,8 +143,7 @@ class TestRunBench:
 def test_csv_layout(tmp_path):
     records = [
         BenchRecord(spec=SMALL, capability="High", propagation_length=3,
-                    n_entry=5, n_target=5, wall_time=0.25, n_paths=7,
-                    backend="numba")
+                    n_entry=5, n_target=5, wall_time=0.25, n_paths=7)
     ]
     out = tmp_path / "bench.csv"
     write_bench_csv(out, records)
@@ -133,4 +152,4 @@ def test_csv_layout(tmp_path):
         "test,capability,propagation_length,n_entry,n_target,"
         "wall_time_s,n_paths,seed,backend"
     )
-    assert lines[1] == "1,High,3,5,5,0.250000,7,11,numba"
+    assert lines[1] == "1,High,3,5,5,0.250000,7,11,python"

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import shutil
 import sys
@@ -268,6 +269,26 @@ class TestExportDotCommand:
         main(["export-dot", *self.FLAGS, "--out", str(a)])
         main(["export-dot", *self.FLAGS, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+#: sha256 of each demo output: the report and DOT bytes are part of the contract
+DEMO_DIGESTS = {
+    "discover.txt": "f3eb5c753fe4bbb877dcb4b7c02bf2d6db066873bf94752b40c66cb820a413f6",
+    "discover.dot": "b7f9d0d473bcd8c14eb840aac2e4dbcc6b1ffcc77c041b1c6dc7c7431e8c97ba",
+    "predict.txt": "0a3784c062a0ec22bdc2e699593f5bb62e87fe53b9192faa2d0814a6ded592a1",
+    "graph.dot": "21e6c28cd8659a2d43ff7d1a87875b5d3f635c891f1d7dae9c6c08e620920d1e",
+}
+
+
+def test_demo_outputs_are_pinned(tmp_path):
+    assert main(["discover", *_demo_flags(tmp_path / "discover.txt"),
+                 "--dot", str(tmp_path / "discover.dot")]) == 0
+    assert main(["predict", *_demo_flags(tmp_path / "predict.txt")]) == 0
+    assert main(["export-dot", *TestExportDotCommand.FLAGS,
+                 "--out", str(tmp_path / "graph.dot")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DEMO_DIGESTS}
+    assert digests == DEMO_DIGESTS
 
 
 def test_missing_subcommand_is_usage_error():

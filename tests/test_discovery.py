@@ -95,9 +95,11 @@ class TestEnumerateSimplePaths:
         with pytest.raises(ValueError):
             enumerate_simple_paths(office, "A1", "A1", 2)
 
-    def test_rejects_zero_bound(self, office):
-        with pytest.raises(ValueError):
-            enumerate_simple_paths(office, "A1", "A2", 0)
+    @pytest.mark.parametrize("max_len", [0, -1, 2.5, True])
+    def test_rejects_bad_bound(self, office, max_len):
+        # 2.5 would otherwise admit A1->A2->A3, and True would act as 1
+        with pytest.raises(ValueError, match="max_len must be a positive integer"):
+            enumerate_simple_paths(office, "A1", "A3", max_len)
 
     def test_complete_digraph_count(self):
         nodes = [f"N{i}" for i in range(5)]
@@ -136,7 +138,6 @@ class TestDiscover:
         }
         assert result.affected_assets == {"A1", "A2", "A3"}
         assert not result.no_eligible_entries
-        assert result.graph is office
 
     def test_longer_bound_adds_two_hop_path(self, office):
         result = discover(office, office_config(propagation_length=3))

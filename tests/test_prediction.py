@@ -49,8 +49,8 @@ def _graph_from_cells(cells, cwe_of=None):
     return AssetGraph([Asset(a, a, AssetKind.HARDWARE) for a in assets], vulns)
 
 
-def _empty_result(graph) -> DiscoveryResult:
-    return DiscoveryResult(paths=(), affected_assets=frozenset(), graph=graph)
+def _empty_result() -> DiscoveryResult:
+    return DiscoveryResult(paths=(), affected_assets=frozenset())
 
 
 class TestSameType:
@@ -152,8 +152,7 @@ class TestRearrange:
         g = _graph_from_cells({("A1", "C1"): 5.0, ("A2", "C1"): 5.0,
                                ("A1", "C2"): 5.0, ("A3", "C2"): 5.0})
         path = AttackPath(("A1", "A2", "A3"))
-        result = DiscoveryResult(paths=(path,), affected_assets=frozenset(path.nodes),
-                                 graph=g)
+        result = DiscoveryResult(paths=(path,), affected_assets=frozenset(path.nodes))
         got = {(p.src, p.dst): p.level for p in predict(g, result, DEFAULTS).predictions}
         assert got == {
             ("A1", "A3"): Classification.VERY_HIGH,
@@ -210,7 +209,7 @@ class TestPredict:
 
     def test_no_shared_cves_gives_empty_report(self):
         g = _graph_from_cells({("X", "C1"): 5.0, ("Y", "C2"): 5.0})
-        report = predict(g, _empty_result(g), DEFAULTS)
+        report = predict(g, _empty_result(), DEFAULTS)
         assert report.predictions == ()
 
     @pytest.mark.parametrize("seed", range(25))
@@ -235,7 +234,6 @@ class TestPredict:
         result = DiscoveryResult(
             paths=paths,
             affected_assets=frozenset(n for p in paths for n in p.nodes),
-            graph=g,
         )
 
         config = PredictionConfig(3, 2, 1, 0)
@@ -300,7 +298,7 @@ def _scale_graph(seed):
                                  cwe_id=rng.choice(("CWE-1", "CWE-2", None)))
              for v in generated.vulnerabilities]
     graph = AssetGraph(generated.assets, vulns, generated.edges)
-    sims, _ = per_pair_reference(graph, _empty_result(graph), DEFAULTS)
+    sims, _ = per_pair_reference(graph, _empty_result(), DEFAULTS)
     return graph, sims
 
 
@@ -326,7 +324,7 @@ class TestPredictAtScale:
             AttackPath((src, rng.choice([i for i in ids if i not in (src, dst)]), dst)
                        if rng.random() < 0.5 else (src, dst))
             for src, dst in ends)
-        result = DiscoveryResult(paths=paths, graph=graph,
+        result = DiscoveryResult(paths=paths,
                                  affected_assets=frozenset(n for p in paths for n in p.nodes))
 
         _, expected = per_pair_reference(graph, result, config)

@@ -18,6 +18,8 @@ from attackcf.model import (
 )
 from attackcf.prediction import PredictionReport, predict
 from attackcf.report import (
+    PREDICT_HEADER,
+    PREDICT_MAGIC,
     format_discovery_report,
     format_prediction_report,
     parse_prediction_report,
@@ -103,6 +105,20 @@ def test_parse_rejects_missing_header(tmp_path, body, message):
         parse_prediction_report(out)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("A,B,Bogus,2,0.5,false", "unknown level 'Bogus'"),
+    ("A,B,High,2,0.5", "prediction row needs 6 fields, got 5"),
+    ("A,B,High,two,0.5,false", "invalid literal for int()"),
+    ("A,B,High,2,0.5,yes", "degenerate must be true or false, got 'yes'"),
+])
+def test_parse_names_malformed_row(tmp_path, row, message):
+    out = tmp_path / "report.txt"
+    out.write_text(f"{PREDICT_MAGIC}\n# n_predictions=2\n{PREDICT_HEADER}\n"
+                   f"A,B,High,2,0.5,false\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{out}:6: {message}")):
+        parse_prediction_report(out)
+
+
 def test_parse_rejects_foreign_file(tmp_path):
     out = tmp_path / "report.txt"
     out.write_text("src,dst\nA,B\n", encoding="utf-8")
@@ -149,7 +165,6 @@ def test_dot_highlight_only_marks_path_edges():
     result = DiscoveryResult(
         paths=(AttackPath(("A", "B")),),
         affected_assets=frozenset({"A", "B"}),
-        graph=graph,
     )
     text = render_dot(graph, result.paths)
     assert '"A" -> "B" [color="red" penwidth=2.0];' in text
