@@ -45,7 +45,6 @@ from attackcf.similarity import (
     PairSimilarity,
     UndefinedSimilarityError,
     pcc,
-    same_type,
     similarity_matrix,
 )
 from attackcf.prediction import (
@@ -92,7 +91,6 @@ __all__ = [
     "pcc",
     "predict",
     "run_bench",
-    "same_type",
     "save_assets",
     "save_edges",
     "save_vulnerabilities",

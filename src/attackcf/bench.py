@@ -33,6 +33,7 @@ from attackcf.model import (
     DiscoveryConfig,
     VulnType,
     VulnerabilityInstance,
+    _check_positive_int,
 )
 
 #: capability label -> attacker profile; location fixed at network (3)
@@ -105,9 +106,10 @@ def _check_cell(capability, propagation_length, n_entry, n_target) -> None:
             f"unknown capability label {capability!r}; "
             f"accepted: {', '.join(CAPABILITY_PROFILES)}"
         )
-    if type(propagation_length) is not int or propagation_length < 1:
+    _check_positive_int("propagation_length", propagation_length)
+    if type(n_entry) is not int or type(n_target) is not int:
         raise ValueError(
-            f"propagation_length must be a positive integer, got {propagation_length!r}"
+            f"n_entry and n_target must be integers, got {n_entry!r} and {n_target!r}"
         )
     if n_entry < 0 or n_target < 0:
         raise ValueError(
@@ -137,11 +139,10 @@ def generate(spec: SynthSpec) -> AssetGraph:
         )
 
     ids = [a.id for a in assets]
-    hw = np.zeros(n, dtype=bool)
-    hw[: spec.n_hardware] = True
-    prob = np.full((n, n), spec.edge_density**2)
-    prob[np.ix_(hw, hw)] = spec.edge_density
-    draw = rng.random((n, n)) < prob
+    h, d = spec.n_hardware, spec.edge_density
+    r = rng.random((n, n))
+    draw = r < d**2
+    draw[:h, :h] = r[:h, :h] < d
     np.fill_diagonal(draw, False)
 
     edges = {(ids[u], ids[v]) for u, v in zip(*np.nonzero(draw))}

@@ -25,6 +25,7 @@ from attackcf.model import (
     AttackerProfile,
     DiscoveryConfig,
     VulnType,
+    _check_positive_int,
 )
 
 
@@ -89,8 +90,7 @@ def enumerate_simple_paths(
     _require_asset(graph, target)
     if entry == target:
         raise ValueError(f"entry and target must differ, got {entry!r} for both")
-    if type(max_len) is not int or max_len < 1:
-        raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
+    _check_positive_int("max_len", max_len)
     return list(map(AttackPath, _search(graph, [entry], [target], max_len)))
 
 

@@ -34,7 +34,6 @@ from attackcf.model import (
     AssetGraph,
     AssetKind,
     AttackerProfile,
-    DEFAULT_ALLOWED_TYPES,
     DiscoveryConfig,
     PredictionConfig,
     VulnType,
@@ -139,12 +138,17 @@ def _parse_requirements(path: Path, line_no: int, loc_field: str, cap_field: str
         ("required_capability", cap_field),
     ):
         try:
-            out.append(int(raw))
+            value = int(raw)
         except ValueError:
             raise IngestError(
                 f"{path}:{line_no}: field {field_name} must be an integer "
                 f"or a CVSS vector, got {raw!r}"
             ) from None
+        if value not in (1, 2, 3):
+            raise IngestError(
+                f"{path}:{line_no}: field {field_name} must be 1, 2 or 3, got {raw!r}"
+            )
+        out.append(value)
     return out[0], out[1]
 
 
@@ -237,6 +241,8 @@ def load_config(path) -> tuple[DiscoveryConfig, PredictionConfig]:
     entries = [t.strip() for t in values["entry_points"].split(",") if t.strip()]
     targets = [t.strip() for t in values["target_points"].split(",") if t.strip()]
 
+    # options the file leaves out keep the config classes' defaults
+    options = {}
     if "allowed_types" in values:
         allowed = set()
         for token in values["allowed_types"].split(","):
@@ -247,8 +253,7 @@ def load_config(path) -> tuple[DiscoveryConfig, PredictionConfig]:
                     "accepted: " + ", ".join(sorted(_VULN_TYPE_TOKENS))
                 )
             allowed.add(_VULN_TYPE_TOKENS[token])
-    else:
-        allowed = set(DEFAULT_ALLOWED_TYPES)
+        options["allowed_types"] = allowed
 
     try:
         attacker = AttackerProfile(
@@ -264,14 +269,12 @@ def load_config(path) -> tuple[DiscoveryConfig, PredictionConfig]:
             propagation_length=_parse_int(
                 values["propagation_length"], "propagation_length", path
             ),
-            allowed_types=allowed,
+            **options,
         )
-        prediction = PredictionConfig(
-            x1=_parse_int(values.get("x1", "4"), "x1", path),
-            x2=_parse_int(values.get("x2", "2"), "x2", path),
-            x3=_parse_int(values.get("x3", "1"), "x3", path),
-            x4=_parse_int(values.get("x4", "0"), "x4", path),
-        )
+        prediction = PredictionConfig(**{
+            key: _parse_int(values[key], key, path)
+            for key in ("x1", "x2", "x3", "x4") if key in values
+        })
     except ConfigError:
         raise
     except ValueError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations, groupby, pairwise
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -191,6 +191,12 @@ class AttackerProfile:
             )
 
 
+def _check_positive_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int >= 1 (bool excluded)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DiscoveryConfig:
     """Parameters steering attack path discovery."""
@@ -212,10 +218,7 @@ class DiscoveryConfig:
             raise ValueError("entry_points must not be empty")
         if not self.target_points:
             raise ValueError("target_points must not be empty")
-        if type(propagation_length) is not int or propagation_length < 1:
-            raise ValueError(
-                f"propagation_length must be a positive integer, got {propagation_length!r}"
-            )
+        _check_positive_int("propagation_length", propagation_length)
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,16 +307,16 @@ def validate_model(graph: AssetGraph) -> list[str]:
     failures: this never raises for bad model content.
     """
     violations: list[str] = []
+    known = graph.asset_by_id
 
-    ids: set[str] = set()
-    for a in graph.assets:
-        if a.id in ids:
+    # assets sort by id and records by (cve, asset), so duplicates are neighbours
+    for before, a in pairwise(graph.assets):
+        if a.id == before.id:
             violations.append(f"duplicate asset id {a.id}")
-        ids.add(a.id)
 
     for a in graph.assets:
         if a.host is not None:
-            host = graph.asset_by_id.get(a.host)
+            host = known.get(a.host)
             if host is None:
                 violations.append(f"asset {a.id} hosted on missing asset {a.host}")
             elif host.kind is not AssetKind.HARDWARE:
@@ -321,9 +324,9 @@ def validate_model(graph: AssetGraph) -> list[str]:
                     f"asset {a.id} hosted on non-hardware asset {a.host}"
                 )
 
-    seen_pairs: set[tuple[str, str]] = set()
+    before = None
     for v in graph.vulnerabilities:
-        if v.asset not in ids:
+        if v.asset not in known:
             violations.append(f"vulnerability {v.cve_id} references missing asset {v.asset}")
         if not 0.0 <= v.score <= 10.0:
             violations.append(
@@ -339,16 +342,15 @@ def validate_model(graph: AssetGraph) -> list[str]:
                 f"vulnerability {v.cve_id} on {v.asset} has required_capability "
                 f"{v.required_capability} outside {{1,2,3}}"
             )
-        key = (v.cve_id, v.asset)
-        if key in seen_pairs:
+        if before is not None and v.cve_id == before.cve_id and v.asset == before.asset:
             violations.append(f"duplicate vulnerability instance {v.cve_id} on {v.asset}")
-        seen_pairs.add(key)
+        before = v
 
     for src, dst in graph.edges:
         if src == dst:
             violations.append(f"self-loop edge on asset {src}")
         for endpoint in (src, dst):
-            if endpoint not in ids:
+            if endpoint not in known:
                 violations.append(f"edge references missing asset {endpoint}")
 
     return violations

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from attackcf.discovery import DiscoveryResult
 from attackcf.model import AssetGraph, Classification, Prediction, PredictionConfig
 from attackcf.similarity import _similarities
-from attackcf.similarity import same_type  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -35,15 +34,15 @@ class PredictionReport:
 
 
 def classify_pair(
-    co_rated: int, same_type: bool, config: PredictionConfig
+    co_rated: int, types_agree: bool, config: PredictionConfig
 ) -> Classification:
     """Threshold classification of a pair; first matching tier wins."""
     if co_rated < 0:
         raise ValueError(f"co_rated must be non-negative, got {co_rated}")
     n = co_rated
-    if n >= config.x1 and same_type:
+    if n >= config.x1 and types_agree:
         return Classification.VERY_HIGH
-    if config.x2 <= n < config.x1 and same_type:
+    if config.x2 <= n < config.x1 and types_agree:
         return Classification.HIGH
     if config.x3 <= n < config.x2:
         return Classification.MEDIUM

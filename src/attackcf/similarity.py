@@ -53,19 +53,6 @@ class PairSimilarity:
     degenerate: bool
 
 
-def same_type(a: str, b: str, graph: AssetGraph) -> bool:
-    """True when some CVE shared by a and b carries the same CWE id on both.
-
-    Absent CWE data never certifies agreement.
-    """
-    if a == b:
-        raise ValueError(f"assets must differ, got {a!r} for both")
-    on_a = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(a, ())}
-    on_b = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(b, ())}
-    return any(on_a[cve] is not None and on_a[cve] == on_b[cve]
-               for cve in on_a.keys() & on_b.keys())
-
-
 def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
     """Pearson correlation of co-rated score pairs.
 
@@ -94,7 +81,7 @@ def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
 
 
 def _similarities(graph: AssetGraph) -> Iterator[tuple[str, str, float, int, bool, bool]]:
-    """(a, b, value, co_rated, degenerate, same_type) for each asset pair
+    """(a, b, value, co_rated, degenerate, types_agree) for each asset pair
     sharing a CVE, sorted by (a, b) with a < b.
 
     Reads the pairs and their (score on a, score on b, same CWE) rows from

@@ -124,13 +124,15 @@ def random_prediction_setup(rng: random.Random):
 
 def per_pair_reference(graph, result, config):
     """similarity_matrix(graph) and predict(graph, result, config).predictions,
-    rebuilt pair by pair: oracles.common_vulnerabilities, pcc, same_type and
-    classify_pair on every asset pair, the rearrangement rule written out,
-    then one keyed sort into report order."""
+    rebuilt pair by pair: oracles.common_vulnerabilities, pcc,
+    oracles.same_type and classify_pair on every asset pair, the
+    rearrangement rule written out, then one keyed sort into report order.
+    The oracles rebuild each pair's CVEs from graph.vulns_by_asset, so they
+    share no code with the package's AssetGraph.shared_cves index."""
     import oracles
     from attackcf.model import Classification, Prediction
     from attackcf.prediction import classify_pair
-    from attackcf.similarity import PairSimilarity, pcc, same_type
+    from attackcf.similarity import PairSimilarity, pcc
 
     ends = {(p.entry, p.target) for p in result.paths}
     ids = sorted(a.id for a in graph.assets)
@@ -145,7 +147,7 @@ def per_pair_reference(graph, result, config):
             else:
                 value, degenerate = pcc([(sa, sb) for _, sa, sb in shared])
             sims.append(PairSimilarity(a, b, value, len(shared), degenerate))
-            base = classify_pair(len(shared), same_type(a, b, graph), config)
+            base = classify_pair(len(shared), oracles.same_type(a, b, graph), config)
             for src, dst in ((a, b), (b, a)):
                 if (src, dst) in ends:
                     level = Classification.VERY_HIGH

@@ -110,6 +110,19 @@ def common_vulnerabilities(a, b, graph):
     return [(cve, on_a[cve], on_b[cve]) for cve in sorted(on_a) if cve in on_b]
 
 
+def same_type(a, b, graph):
+    """True when some CVE shared by a and b carries the same CWE id on both.
+
+    Absent CWE data never certifies agreement.
+    """
+    if a == b:
+        raise ValueError(f"assets must differ, got {a!r} for both")
+    on_a = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(a, ())}
+    on_b = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(b, ())}
+    return any(on_a[cve] is not None and on_a[cve] == on_b[cve]
+               for cve in on_a.keys() & on_b.keys())
+
+
 def classify_reference(n, types_agree, x1, x2, x3, x4):
     """Literal transcription of the tier rules."""
     if n >= x1 and types_agree:

@@ -21,7 +21,7 @@ from attackcf.model import (
     DiscoveryConfig,
     validate_model,
 )
-from attackcf.prediction import classify_pair, predict, same_type
+from attackcf.prediction import classify_pair, predict
 from attackcf.similarity import pcc
 
 import oracles
@@ -90,7 +90,7 @@ def test_case_study_golden():
                 & {v.cve_id for v in bundle.graph.vulns_by_asset[dst]}
             )
             intermediate[(src, dst)] = classify_pair(
-                shared, same_type(src, dst, bundle.graph), bundle.prediction
+                shared, oracles.same_type(src, dst, bundle.graph), bundle.prediction
             )
         assert intermediate == INTERMEDIATE_EXPECTED
 

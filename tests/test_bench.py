@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -64,6 +65,18 @@ class TestGenerate:
         graph = generate(SynthSpec(5, 12, 0.3, 4, seed))
         assert validate_model(graph) == []
 
+    @pytest.mark.parametrize("spec, n_edges, digest", [
+        (SynthSpec(35, 145, 0.05, 3, 42), 293,
+         "b739197b6e99f2b468ef9604cb077efec3d7178d98fcc70c25682099af420ee8"),
+        (SynthSpec(350, 1450, 0.01, 3, 1), 2986,
+         "da6a0a895f54ed9712b6784d8657fe80cf44354079c0ee6f029fd2e54fa35974"),
+    ], ids=["180-assets", "1800-assets"])
+    def test_edge_draw_is_pinned(self, spec, n_edges, digest):
+        graph = generate(spec)
+        text = "".join(f"{s},{d}\n" for s, d in graph.edges)
+        assert len(graph.edges) == n_edges
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_vulnerability_fields_in_range(self):
         graph = generate(SMALL)
         for v in graph.vulnerabilities:
@@ -107,10 +120,13 @@ class TestRunBench:
 
     @pytest.mark.parametrize("cell, message", [
         (("High", 3, -1, 5), "n_entry and n_target must not be negative, got -1 and 5"),
+        (("High", 3, 2.5, 2), "n_entry and n_target must be integers, got 2.5 and 2"),
+        (("High", 3, 2, True), "n_entry and n_target must be integers, got 2 and True"),
         (("High", 0, 5, 5), "propagation_length must be a positive integer, got 0"),
         (("Bogus", 3, 5, 5),
          "unknown capability label 'Bogus'; accepted: Low, Medium, High"),
-    ], ids=["negative-count", "zero-length", "unknown-capability"])
+    ], ids=["negative-count", "float-count", "bool-count", "zero-length",
+            "unknown-capability"])
     def test_rejects_invalid_cell_before_timing(self, monkeypatch, cell, message):
         calls = []
         monkeypatch.setattr(bench, "discover", lambda *a: calls.append(a))

@@ -167,6 +167,25 @@ class TestLoadVulnerabilities:
         with pytest.raises(IngestError, match="empty"):
             load_vulnerabilities(path, base_assets)
 
+    @pytest.mark.parametrize("loc, cap, field, raw", [
+        (7, 1, "required_location", 7),
+        (1, 0, "required_capability", 0),
+        (4, 4, "required_location", 4),
+    ], ids=["7-1", "1-0", "4-4"])
+    def test_requirement_outside_scale_rejected(self, tmp_path, base_assets,
+                                                 loc, cap, field, raw):
+        path = _write(tmp_path, "v.csv", VULN_HEADER + f"CVE-1,A1,5,CWE-1,XSS,{loc},{cap}\n")
+        with pytest.raises(IngestError) as exc:
+            load_vulnerabilities(path, base_assets)
+        assert str(exc.value) == f"{path}:2: field {field} must be 1, 2 or 3, got '{raw}'"
+
+    def test_non_integer_requirement_rejected(self, tmp_path, base_assets):
+        path = _write(tmp_path, "v.csv", VULN_HEADER + "CVE-1,A1,5,CWE-1,XSS,1,high\n")
+        with pytest.raises(IngestError) as exc:
+            load_vulnerabilities(path, base_assets)
+        assert str(exc.value) == (f"{path}:2: field required_capability must be an "
+                                  "integer or a CVSS vector, got 'high'")
+
     def test_garbled_vector_rejected(self, tmp_path, base_assets):
         path = _write(
             tmp_path, "v.csv", VULN_HEADER + "CVE-1,A1,5,CWE-1,XSS,AV:X/AC:L,\n"

@@ -104,6 +104,54 @@ class TestValidateModel:
             "vulnerability CVE-1 references missing asset ZZ"
         ]
 
+    def test_each_repeat_of_an_asset_id_is_reported(self):
+        graph = AssetGraph(
+            assets=[Asset("A1", name, AssetKind.HARDWARE) for name in "abc"]
+            + [Asset("A0", "x", AssetKind.HARDWARE), Asset("A2", "y", AssetKind.HARDWARE)]
+        )
+        assert validate_model(graph) == ["duplicate asset id A1"] * 2
+
+    def test_each_repeat_of_a_vulnerability_instance_is_reported(self):
+        # CVE-1 on A2 sorts next to A1's copies but is no duplicate
+        graph = AssetGraph(
+            assets=[Asset(a, a, AssetKind.HARDWARE) for a in ("A1", "A2")],
+            vulnerabilities=[_vuln(score=s) for s in (1.0, 2.0, 3.0)]
+            + [_vuln(cve="CVE-0"), _vuln(asset="A2"), _vuln(cve="CVE-2")],
+        )
+        assert validate_model(graph) == ["duplicate vulnerability instance CVE-1 on A1"] * 2
+
+    def test_every_rule_broken_once_in_order(self):
+        graph = AssetGraph(
+            assets=[
+                Asset("A1", "first", AssetKind.HARDWARE),
+                Asset("A1", "second", AssetKind.HARDWARE),
+                Asset("S1", "app", AssetKind.SOFTWARE, host="H9"),
+                Asset("S2", "lib", AssetKind.SOFTWARE, host="S3"),
+                Asset("S3", "os", AssetKind.SOFTWARE),
+            ],
+            vulnerabilities=[
+                _vuln(cve="CVE-1", asset="ZZ"),
+                _vuln(cve="CVE-2", score=11.0),
+                _vuln(cve="CVE-3", loc=0),
+                _vuln(cve="CVE-4", cap=4),
+                _vuln(cve="CVE-5", score=5.0),
+                _vuln(cve="CVE-5", score=6.0),
+            ],
+            edges=[("S3", "S3"), ("A1", "X9")],
+        )
+        assert validate_model(graph) == [
+            "duplicate asset id A1",
+            "asset S1 hosted on missing asset H9",
+            "asset S2 hosted on non-hardware asset S3",
+            "vulnerability CVE-1 references missing asset ZZ",
+            "vulnerability CVE-2 on A1 has score 11.0 outside [0, 10]",
+            "vulnerability CVE-3 on A1 has required_location 0 outside {1,2,3}",
+            "vulnerability CVE-4 on A1 has required_capability 4 outside {1,2,3}",
+            "duplicate vulnerability instance CVE-5 on A1",
+            "edge references missing asset X9",
+            "self-loop edge on asset S3",
+        ]
+
 
 class TestAssetGraph:
     def test_construction_order_independent(self):

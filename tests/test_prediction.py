@@ -24,7 +24,6 @@ from attackcf.prediction import (
     _rearranged,
     classify_pair,
     predict,
-    same_type,
 )
 from attackcf.report import format_prediction_report
 from attackcf.similarity import similarity_matrix
@@ -53,19 +52,30 @@ def _empty_result() -> DiscoveryResult:
     return DiscoveryResult(paths=(), affected_assets=frozenset())
 
 
+def _package_same_type(a, b, graph):
+    """Type agreement of a < b as the package's shared_cves index records it."""
+    rows = next((rows for x, y, rows in graph.shared_cves if (x, y) == (a, b)), ())
+    return any(row[2] for row in rows)
+
+
 class TestSameType:
+    """oracles.same_type, and the package's shared_cves agreeing with it."""
+
     def test_shared_cves_with_matching_cwe(self, office):
-        assert same_type("A1", "A2", office)
+        assert oracles.same_type("A1", "A2", office)
+        assert _package_same_type("A1", "A2", office)
 
     def test_disjoint_assets(self):
         g = _graph_from_cells({("X", "C1"): 5.0, ("Y", "C2"): 5.0})
-        assert not same_type("X", "Y", g)
+        assert not oracles.same_type("X", "Y", g)
+        assert not _package_same_type("X", "Y", g)
 
     def test_absent_cwe_cannot_certify(self):
         g = _graph_from_cells(
             {("X", "C1"): 5.0, ("Y", "C1"): 5.0}, cwe_of={"C1": None}
         )
-        assert not same_type("X", "Y", g)
+        assert not oracles.same_type("X", "Y", g)
+        assert not _package_same_type("X", "Y", g)
 
     def test_mismatched_cwe(self):
         cells = {("X", "C1"): 5.0, ("Y", "C1"): 5.0}
@@ -75,11 +85,12 @@ class TestSameType:
             VulnerabilityInstance("C1", "Y", 5.0, "CWE-20", VulnType.XSS, 1, 1),
         ]
         g = AssetGraph([Asset(a, a, AssetKind.HARDWARE) for a in assets], vulns)
-        assert not same_type("X", "Y", g)
+        assert not oracles.same_type("X", "Y", g)
+        assert not _package_same_type("X", "Y", g)
 
     def test_rejects_same_asset(self, office):
         with pytest.raises(ValueError):
-            same_type("A1", "A1", office)
+            oracles.same_type("A1", "A1", office)
 
 
 class TestClassifyPair:
@@ -185,7 +196,7 @@ class TestPredict:
     def test_office_pre_rearrangement_classifications(self, office):
         got = {}
         for a, b, n in (("A1", "A2", 4), ("A1", "A3", 3), ("A2", "A3", 3)):
-            level = classify_pair(n, same_type(a, b, office), DEFAULTS)
+            level = classify_pair(n, oracles.same_type(a, b, office), DEFAULTS)
             got[(a, b)] = got[(b, a)] = level
         assert got == {
             ("A1", "A2"): Classification.VERY_HIGH,
@@ -315,7 +326,7 @@ class TestPredictAtScale:
         rng = random.Random(sum(thresholds))
         ids = sorted(a.id for a in graph.assets)
         very_high = [(s.a, s.b) for s in sims
-                     if s.co_rated >= config.x1 and same_type(s.a, s.b, graph)]
+                     if s.co_rated >= config.x1 and oracles.same_type(s.a, s.b, graph)]
         # one direction of every other very-high pair, and random other pairs,
         # some through a middle node that the rule must ignore
         ends = [rng.choice((pair, pair[::-1])) for pair in very_high[::2]]

@@ -18,7 +18,6 @@ from attackcf.similarity import (
     PairSimilarity,
     UndefinedSimilarityError,
     pcc,
-    same_type,
     similarity_matrix,
 )
 
@@ -251,7 +250,7 @@ class TestSharedCvePass:
                          key=VulnerabilityInstance._sort_key) for cve in ("C1", "C2")}
         assert (last["C1"].score, last["C2"].cwe_id) == (8.0, "CWE-2")
         assert oracles.common_vulnerabilities("X", "Y", g) == [("C1", 8.0, 5.0), ("C2", 4.0, 1.0)]
-        assert same_type("X", "Y", g)  # only C2's last record agrees with Y
+        assert oracles.same_type("X", "Y", g)  # only C2's last record agrees with Y
         value, degenerate = pcc([(8.0, 5.0), (4.0, 1.0)])
         assert similarity_matrix(g) == [PairSimilarity("X", "Y", value, 2, degenerate)]
         empty = DiscoveryResult(paths=(), affected_assets=frozenset())
