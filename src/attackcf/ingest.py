@@ -7,9 +7,17 @@ Formats are comma-separated UTF-8 text with a header line:
     edges.csv   src,dst
 
 The config file is flat key=value text (lists comma-separated, # comments
-allowed).  Recognised keys: entry_points, target_points, attacker_location,
-attacker_capability, propagation_length, allowed_types, x1, x2, x3, x4.
-Unknown keys are rejected.
+allowed, a leading byte-order mark ignored).  Recognised keys:
+entry_points, target_points, attacker_location, attacker_capability,
+propagation_length, allowed_types, x1, x2, x3, x4.  Unknown keys are
+rejected.
+
+load_assets, load_vulnerabilities and load_edges each return a set-like
+view (it equals a set of the same records) that iterates in file order.
+The last two drop exact repeats; a repeated asset id is an error.  Asset
+and VulnerabilityInstance records are immutable tuples.  A saved file is
+already in the graph's order, so AssetGraph sorts what the loaders return
+in near-linear time.
 
 Asset ids may not contain a comma, "->", a double quote, a backslash or a
 line break: the reports and the DOT export write ids as they are.
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +50,10 @@ from attackcf.model import (
 )
 
 _VULN_TYPE_TOKENS = {t.value: t for t in VulnType}
+_ASSET_KIND_TOKENS = {k.value: k for k in AssetKind}
+#: the requirement fields as nearly every file writes them; anything else
+#: takes the general parse and its messages
+_LEVEL_TOKENS = {"1": 1, "2": 2, "3": 3}
 
 _CONFIG_KEYS = frozenset(
     {
@@ -75,7 +88,8 @@ class ConfigError(IngestError):
 
 
 def _rows(path: Path, n_fields: int, what: str):
-    """Yield (line_no, fields) for each data row; the header line is ignored."""
+    """Yield (line_no, fields) for each data row, the fields an iterator of
+    stripped strings; the header line is ignored."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
@@ -85,14 +99,19 @@ def _rows(path: Path, n_fields: int, what: str):
                 raise IngestError(
                     f"{path}:{line_no}: {what} row needs {n_fields} fields, got {len(row)}"
                 )
-            yield line_no, [f.strip() for f in row]
+            yield line_no, map(str.strip, row)
 
 
-def load_assets(path) -> set[Asset]:
-    """Parse an assets file into a set of Asset records."""
+def load_assets(path) -> AbstractSet[Asset]:
+    """Parse an assets file into its Asset records, a set-like view in file order.
+
+    Every host must be a hardware asset of the same file; it may appear on
+    a later line than the assets it hosts.
+    """
     path = Path(path)
-    assets: set[Asset] = set()
-    seen: set[str] = set()
+    # record -> line, for the host check once every id is known
+    assets: dict[Asset, int] = {}
+    kinds: dict[str, AssetKind] = {}
     for line_no, (aid, name, kind, host) in _rows(path, 4, "asset"):
         if not aid:
             raise IngestError(f"{path}:{line_no}: empty asset id")
@@ -101,20 +120,34 @@ def load_assets(path) -> set[Asset]:
                 f"{path}:{line_no}: asset id {aid!r} contains a comma, '->', "
                 "a double quote, a backslash or a line break"
             )
-        if aid in seen:
+        if aid in kinds:
             raise IngestError(f"{path}:{line_no}: duplicate asset id {aid}")
-        seen.add(aid)
-        try:
-            kind_val = AssetKind(kind)
-        except ValueError:
+        kind_val = _ASSET_KIND_TOKENS.get(kind)
+        if kind_val is None:
             raise IngestError(
                 f"{path}:{line_no}: field kind must be 'hardware' or 'software', got {kind!r}"
-            ) from None
-        assets.add(Asset(id=aid, name=name, kind=kind_val, host=host or None))
-    return assets
+            )
+        kinds[aid] = kind_val
+        assets[Asset(aid, name, kind_val, host or None)] = line_no
+    for a, line_no in assets.items():
+        if a.host is not None:
+            host_kind = kinds.get(a.host)
+            if host_kind is None:
+                raise IngestError(
+                    f"{path}:{line_no}: asset {a.id} hosted on missing asset {a.host}"
+                )
+            if host_kind is not AssetKind.HARDWARE:
+                raise IngestError(
+                    f"{path}:{line_no}: asset {a.id} hosted on non-hardware asset {a.host}"
+                )
+    return assets.keys()
 
 
 def _parse_requirements(path: Path, line_no: int, loc_field: str, cap_field: str):
+    loc = _LEVEL_TOKENS.get(loc_field)
+    cap = _LEVEL_TOKENS.get(cap_field)
+    if loc is not None and cap is not None:
+        return loc, cap
     if "AV:" in loc_field:
         metrics = dict(
             part.split(":", 1) for part in loc_field.split("/") if ":" in part
@@ -152,11 +185,12 @@ def _parse_requirements(path: Path, line_no: int, loc_field: str, cap_field: str
     return out[0], out[1]
 
 
-def load_vulnerabilities(path, assets: set[Asset]) -> set[VulnerabilityInstance]:
-    """Parse a vulnerabilities file; every row must reference a known asset."""
+def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
+    """Parse a vulnerabilities file into its records, a set-like view in file
+    order with exact repeats dropped; every row must reference a known asset."""
     path = Path(path)
     ids = {a.id for a in assets}
-    vulns: set[VulnerabilityInstance] = set()
+    vulns: dict[VulnerabilityInstance, None] = {}
     for line_no, (cve, aid, score_s, cwe, vtype, loc_s, cap_s) in _rows(
         path, 7, "vulnerability"
     ):
@@ -172,39 +206,31 @@ def load_vulnerabilities(path, assets: set[Asset]) -> set[VulnerabilityInstance]
             raise IngestError(
                 f"{path}:{line_no}: score {score_s} out of range [0, 10]"
             )
-        if vtype not in _VULN_TYPE_TOKENS:
+        vtype_val = _VULN_TYPE_TOKENS.get(vtype)
+        if vtype_val is None:
             raise IngestError(
                 f"{path}:{line_no}: unknown vuln_type {vtype!r}; accepted: "
                 + ", ".join(sorted(_VULN_TYPE_TOKENS))
             )
         loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)
-        vulns.add(
-            VulnerabilityInstance(
-                cve_id=cve,
-                asset=aid,
-                score=score,
-                cwe_id=cwe or None,
-                vuln_type=_VULN_TYPE_TOKENS[vtype],
-                required_location=loc,
-                required_capability=cap,
-            )
-        )
-    return vulns
+        vulns[VulnerabilityInstance(cve, aid, score, cwe or None, vtype_val, loc, cap)] = None
+    return vulns.keys()
 
 
-def load_edges(path, assets: set[Asset]) -> set[tuple[str, str]]:
-    """Parse an edges file into directed (src, dst) pairs; duplicates collapse."""
+def load_edges(path, assets) -> AbstractSet[tuple[str, str]]:
+    """Parse an edges file into directed (src, dst) pairs, a set-like view in
+    file order with repeats dropped."""
     path = Path(path)
     ids = {a.id for a in assets}
-    edges: set[tuple[str, str]] = set()
+    edges: dict[tuple[str, str], None] = {}
     for line_no, (src, dst) in _rows(path, 2, "edge"):
         if src == dst:
             raise IngestError(f"{path}:{line_no}: self-loop edge on {src}")
         for endpoint in (src, dst):
             if endpoint not in ids:
                 raise IngestError(f"{path}:{line_no}: unknown asset {endpoint}")
-        edges.add((src, dst))
-    return edges
+        edges[src, dst] = None
+    return edges.keys()
 
 
 def _parse_int(raw: str, key: str, path: Path) -> int:
@@ -218,7 +244,8 @@ def load_config(path) -> tuple[DiscoveryConfig, PredictionConfig]:
     """Parse a key=value config file into discovery and prediction configs."""
     path = Path(path)
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    # a byte-order mark, as some editors save one, is not part of the first key
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -1,6 +1,9 @@
 """Domain types shared by discovery, similarity, and prediction.
 
 All types are immutable after construction and safe for concurrent reads.
+The records a graph holds, Asset and VulnerabilityInstance, are NamedTuples:
+immutable tuples that equal a plain tuple of their fields, unpack, and give
+a changed copy through _replace.  They check nothing when built.
 Graph-level consistency (dangling references, duplicate ids, out-of-range
 scores) is reported by :func:`validate_model` rather than raised at
 construction time, so that broken input data can be inspected as data.
@@ -22,6 +25,10 @@ class AssetKind(Enum):
     HARDWARE = "hardware"
     SOFTWARE = "software"
 
+    # members are singletons that compare by identity; Enum's own __hash__
+    # is a Python call, paid for every record a dict or set hashes
+    __hash__ = object.__hash__
+
 
 class VulnType(Enum):
     """Vulnerability categories recognised by the path discovery filter.
@@ -38,6 +45,8 @@ class VulnType(Enum):
     MEMORY_CORRUPTION = "MemoryCorruption"
     OTHER = "Other"
 
+    __hash__ = object.__hash__  # as AssetKind's
+
 
 #: Types an attack step may exploit unless the configuration says otherwise.
 DEFAULT_ALLOWED_TYPES: frozenset[VulnType] = frozenset(
@@ -52,8 +61,7 @@ DEFAULT_ALLOWED_TYPES: frozenset[VulnType] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Asset:
+class Asset(NamedTuple):
     """A hardware or software node in the infrastructure graph."""
 
     id: str
@@ -62,11 +70,13 @@ class Asset:
     host: str | None = None
 
     def _sort_key(self):
-        return (self.id, self.name, self.kind.value, self.host or "")
+        # host may be None, which does not order against a str; the last
+        # item only parts None from "", so that input order never decides
+        aid, name, kind, host = self
+        return (aid, name, kind._value_, host or "", host is not None)
 
 
-@dataclass(frozen=True)
-class VulnerabilityInstance:
+class VulnerabilityInstance(NamedTuple):
     """A CVE occurrence on one asset.
 
     score is the CVSS base score in [0, 10].  required_location and
@@ -83,8 +93,9 @@ class VulnerabilityInstance:
     required_capability: int
 
     def _sort_key(self):
-        return (self.cve_id, self.asset, self.score, self.cwe_id or "",
-                self.vuln_type.value, self.required_location, self.required_capability)
+        # as Asset's, for cwe_id
+        cve, asset, score, cwe, vtype, loc, cap = self
+        return (cve, asset, score, cwe or "", vtype._value_, loc, cap, cwe is not None)
 
 
 class Adjacency(NamedTuple):
@@ -115,15 +126,18 @@ class AssetGraph:
     edges: tuple[tuple[str, str], ...]
 
     def __init__(self, assets, vulnerabilities=(), edges=()):
+        # dict.fromkeys keeps the first of each repeat in input order, so
+        # input that is already sorted, as every saved file is, sorts in
+        # near-linear time
         object.__setattr__(
-            self, "assets", tuple(sorted(set(assets), key=Asset._sort_key))
+            self, "assets", tuple(sorted(dict.fromkeys(assets), key=Asset._sort_key))
         )
         object.__setattr__(
             self,
             "vulnerabilities",
-            tuple(sorted(set(vulnerabilities), key=VulnerabilityInstance._sort_key)),
+            tuple(sorted(dict.fromkeys(vulnerabilities), key=VulnerabilityInstance._sort_key)),
         )
-        object.__setattr__(self, "edges", tuple(sorted(set(edges))))
+        object.__setattr__(self, "edges", tuple(sorted(dict.fromkeys(edges))))
 
     @cached_property
     def asset_by_id(self) -> dict[str, Asset]:
@@ -209,6 +223,11 @@ class DiscoveryConfig:
 
     def __init__(self, entry_points, target_points, attacker, propagation_length,
                  allowed_types=DEFAULT_ALLOWED_TYPES):
+        # frozenset("A1") would be {"A", "1"}
+        for name, value in (("entry_points", entry_points), ("target_points", target_points),
+                            ("allowed_types", allowed_types)):
+            if isinstance(value, str):
+                raise ValueError(f"{name} must be a collection, not the string {value!r}")
         object.__setattr__(self, "entry_points", frozenset(entry_points))
         object.__setattr__(self, "target_points", frozenset(target_points))
         object.__setattr__(self, "attacker", attacker)
@@ -219,6 +238,9 @@ class DiscoveryConfig:
         if not self.target_points:
             raise ValueError("target_points must not be empty")
         _check_positive_int("propagation_length", propagation_length)
+        for t in self.allowed_types:
+            if not isinstance(t, VulnType):
+                raise ValueError(f"allowed_types must hold VulnType members, got {t!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -81,6 +81,25 @@ class TestDiscoverCommand:
         assert '"A1" -> "A2" [color="red" penwidth=2.0];' in text
 
     def test_validation_failure_is_data_error(self, tmp_path, capsys):
+        # a second record of one (cve, asset) with another score loads, and
+        # only validate_model rejects it
+        vulns = tmp_path / "vulns.csv"
+        vulns.write_text((DEMO_DIR / "vulns.csv").read_text()
+                         + "CVE-2015-1769,A1,9.3,CWE-264,ObtainPrivilege,1,1\n")
+        rc = main([
+            "discover",
+            "--assets", str(DEMO_DIR / "assets.csv"),
+            "--vulns", str(vulns),
+            "--edges", str(DEMO_DIR / "edges.csv"),
+            "--config", str(DEMO_DIR / "config.txt"),
+            "--out", str(tmp_path / "o.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: model validation failed:\n"
+            "  duplicate vulnerability instance CVE-2015-1769 on A1\n")
+
+    def test_bad_host_names_file_and_line(self, tmp_path, capsys):
         assets = tmp_path / "assets.csv"
         assets.write_text(
             "id,name,kind,host\nA1,pc,hardware,\nA2,l1,hardware,\n"
@@ -95,7 +114,8 @@ class TestDiscoverCommand:
             "--out", str(tmp_path / "o.txt"),
         ])
         assert rc == 1
-        assert "GHOST" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {assets}:5: asset S9 hosted on missing asset GHOST\n")
 
 
 class TestPredictCommand:

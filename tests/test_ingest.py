@@ -90,6 +90,31 @@ class TestLoadAssets:
         with pytest.raises(IngestError, match="hardware"):
             load_assets(path)
 
+    def test_iterates_in_file_order(self, tmp_path):
+        path = _write(tmp_path, "a.csv", ASSET_HEADER
+                      + "H9,z,hardware,\nS1,app,software,H9\nA1,a,hardware,\n")
+        assert list(load_assets(path)) == [
+            Asset("H9", "z", AssetKind.HARDWARE),
+            Asset("S1", "app", AssetKind.SOFTWARE, "H9"),
+            Asset("A1", "a", AssetKind.HARDWARE),
+        ]
+
+    def test_host_may_come_later_in_the_file(self, tmp_path):
+        path = _write(tmp_path, "a.csv", ASSET_HEADER + "S1,app,software,H1\nH1,pc,hardware,\n")
+        assert Asset("S1", "app", AssetKind.SOFTWARE, "H1") in load_assets(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("A1,pc,hardware,\nS9,app,software,GHOST\n",
+         "3: asset S9 hosted on missing asset GHOST"),
+        ("S9,app,software,S2\nS2,os,software,\n",
+         "2: asset S9 hosted on non-hardware asset S2"),
+    ], ids=["missing", "software"])
+    def test_bad_host_named_with_line(self, tmp_path, rows, message):
+        path = _write(tmp_path, "a.csv", ASSET_HEADER + rows)
+        with pytest.raises(IngestError) as exc:
+            load_assets(path)
+        assert str(exc.value) == f"{path}:{message}"
+
 
 class TestLoadVulnerabilities:
     def test_example_rows(self, tmp_path, base_assets):
@@ -186,6 +211,28 @@ class TestLoadVulnerabilities:
         assert str(exc.value) == (f"{path}:2: field required_capability must be an "
                                   "integer or a CVSS vector, got 'high'")
 
+    @pytest.mark.parametrize("loc, cap, expected", [
+        ("03", "1", (3, 1)), ("1", "+2", (1, 2)), (" 2", "3 ", (2, 3)),
+    ])
+    def test_other_integer_spellings_still_parse(self, tmp_path, base_assets,
+                                                 loc, cap, expected):
+        # only exact "1", "2" and "3" take the lookup; the rest parse with int()
+        path = _write(tmp_path, "v.csv", VULN_HEADER + f"CVE-1,A1,5,CWE-1,XSS,{loc},{cap}\n")
+        (v,) = load_vulnerabilities(path, base_assets)
+        assert (v.required_location, v.required_capability) == expected
+
+    def test_iterates_in_file_order_without_exact_repeats(self, tmp_path, base_assets):
+        path = _write(tmp_path, "v.csv", VULN_HEADER
+                      + "CVE-2,A1,5,CWE-1,XSS,1,1\n"
+                      + "CVE-1,A1,5,,XSS,1,1\n"
+                      + "CVE-2,A1,5,CWE-1,XSS,1,1\n"
+                      + "CVE-1,A1,6,,XSS,1,1\n")
+        vulns = load_vulnerabilities(path, base_assets)
+        # a repeat with another score is not exact: validate_model reports it
+        assert [(v.cve_id, v.score) for v in vulns] == [
+            ("CVE-2", 5.0), ("CVE-1", 5.0), ("CVE-1", 6.0)]
+        assert len(vulns) == 3
+
     def test_garbled_vector_rejected(self, tmp_path, base_assets):
         path = _write(
             tmp_path, "v.csv", VULN_HEADER + "CVE-1,A1,5,CWE-1,XSS,AV:X/AC:L,\n"
@@ -204,6 +251,13 @@ class TestLoadEdges:
         assets = {Asset(x, x, AssetKind.HARDWARE) for x in ("A1", "A2")}
         path = _write(tmp_path, "e.csv", "src,dst\nA1,A2\nA1,A2\n")
         assert load_edges(path, assets) == {("A1", "A2")}
+
+    def test_iterates_in_file_order_without_repeats(self, tmp_path):
+        assets = {Asset(x, x, AssetKind.HARDWARE) for x in ("A1", "A2", "A3")}
+        path = _write(tmp_path, "e.csv", "src,dst\nA3,A1\nA1,A2\nA3,A1\nA2,A1\n")
+        edges = load_edges(path, assets)
+        assert list(edges) == [("A3", "A1"), ("A1", "A2"), ("A2", "A1")]
+        assert ("A1", "A2") in edges and len(edges) == 3
 
     def test_self_loop_rejected(self, tmp_path):
         assets = {Asset("A1", "a", AssetKind.HARDWARE)}
@@ -279,6 +333,16 @@ class TestLoadConfig:
         discovery, _ = load_config(_write(tmp_path, "c.txt", text))
         assert discovery.allowed_types == {VulnType.XSS, VulnType.OTHER}
 
+    @pytest.mark.parametrize("text", [
+        CONFIG_MINIMAL, "# comment first\n" + CONFIG_MINIMAL,
+        (DEMO_DIR / "config.txt").read_text(encoding="utf-8"),
+    ], ids=["key-first", "comment-first", "demo"])
+    def test_byte_order_mark_ignored(self, tmp_path, text):
+        plain = load_config(_write(tmp_path, "plain.txt", text))
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config(bom) == plain
+
     def test_bad_allowed_type(self, tmp_path):
         text = CONFIG_MINIMAL + "allowed_types=XSS,Nope\n"
         with pytest.raises(ConfigError, match="Nope"):
@@ -314,6 +378,13 @@ class TestBundleAndRoundTrip:
     def test_round_trip_random_models(self, tmp_path, seed):
         graph = generate(SynthSpec(4, 9, 0.3, 3, seed))
         self._assert_round_trips(tmp_path, graph)
+
+    def test_round_trip_at_benchmark_scale(self, tmp_path):
+        graph = generate(SynthSpec(1000, 4000, 0.01, 3, 1))
+        self._assert_round_trips(tmp_path, graph)
+        # a saved file is in the graph's order, and the loaders keep it
+        loaded = load_vulnerabilities(tmp_path / "v.csv", graph.assets)
+        assert tuple(loaded) == graph.vulnerabilities
 
     def test_round_trip_office_model(self, tmp_path):
         self._assert_round_trips(tmp_path, office_graph())

@@ -1,9 +1,20 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
+from attackcf.bench import SynthSpec, generate
+from attackcf.ingest import (
+    load_assets,
+    load_edges,
+    load_vulnerabilities,
+    save_assets,
+    save_edges,
+    save_vulnerabilities,
+)
 from attackcf.model import (
     Asset,
     AssetGraph,
@@ -162,6 +173,45 @@ class TestAssetGraph:
         g2 = AssetGraph([b, a], [v], [("A1", "A2"), ("A1", "A2")])
         assert g1 == g2
 
+    def test_same_key_but_for_missing_cwe_sorts_without_error(self):
+        # None does not order against a str; _sort_key must keep it out of the comparison
+        bare, empty, typed = _vuln(cwe=None), _vuln(cwe=""), _vuln(cwe="CWE-1")
+        for order in itertools.permutations([bare, empty, typed]):
+            graph = AssetGraph([Asset("A1", "a", AssetKind.HARDWARE)], order)
+            assert graph.vulnerabilities == (bare, empty, typed)
+        hosts = [Asset("S1", "app", AssetKind.SOFTWARE, host) for host in (None, "", "H1")]
+        for order in itertools.permutations(hosts):
+            assert AssetGraph(order).assets == tuple(hosts)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_any_input_order_gives_the_file_order_graph(self, tmp_path, seed):
+        rng = random.Random(seed)
+        generated = generate(SynthSpec(8, 30, 0.15, 3, seed))
+        # records that differ only in cwe_id or score sort by those fields
+        vulns = list(generated.vulnerabilities)
+        vulns += [v._replace(cwe_id=None) for v in rng.sample(vulns, 10)]
+        vulns += [v._replace(score=10.0 - v.score) for v in rng.sample(vulns, 10)]
+        files = tmp_path / "a.csv", tmp_path / "v.csv", tmp_path / "e.csv"
+        save_assets(files[0], generated.assets)
+        save_vulnerabilities(files[1], vulns)
+        save_edges(files[2], generated.edges)
+        assets = load_assets(files[0])
+        from_files = AssetGraph(assets, load_vulnerabilities(files[1], assets),
+                                load_edges(files[2], assets))
+
+        def shuffled(records):
+            out = list(records) + rng.sample(list(records), len(records) // 4)
+            rng.shuffle(out)
+            return out
+
+        for wrap in (list, set, lambda xs: dict.fromkeys(xs).keys()):
+            graph = AssetGraph(wrap(shuffled(from_files.assets)),
+                               wrap(shuffled(from_files.vulnerabilities)),
+                               wrap(shuffled(from_files.edges)))
+            assert graph == from_files
+            assert graph.vulnerabilities == tuple(
+                sorted(set(vulns), key=VulnerabilityInstance._sort_key))
+
     def test_adjacency_rows_sorted(self):
         g = AssetGraph(
             assets=[Asset(x, x, AssetKind.HARDWARE) for x in ("A3", "A1", "A2")],
@@ -197,6 +247,58 @@ class TestAssetGraph:
         for v in ids:
             preds = [adj.ids[j] for j in adj.pred[adj.index[v]]]
             assert preds == sorted(u for u, w in edges if w == v)
+
+
+class TestRecords:
+    """Asset and VulnerabilityInstance are NamedTuples."""
+
+    def test_equal_to_a_plain_tuple_of_the_fields(self):
+        asset = Asset("S1", "app", AssetKind.SOFTWARE, "H1")
+        assert asset == ("S1", "app", AssetKind.SOFTWARE, "H1")
+        assert hash(asset) == hash(("S1", "app", AssetKind.SOFTWARE, "H1"))
+        assert Asset("A1", "a", AssetKind.HARDWARE) == ("A1", "a", AssetKind.HARDWARE, None)
+        assert _vuln() == ("CVE-1", "A1", 5.0, "CWE-1", VulnType.CODE_EXECUTION, 1, 1)
+
+    @pytest.mark.parametrize("record, field", [
+        (Asset("A1", "a", AssetKind.HARDWARE), "host"),
+        (_vuln(), "score"),
+    ])
+    def test_assignment_raises_attribute_error(self, record, field):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_replace_gives_a_changed_copy(self):
+        v = _vuln()
+        changed = v._replace(score=9.0, cwe_id=None)
+        assert (changed.score, changed.cwe_id, v.score) == (9.0, None, 5.0)
+        assert changed._replace(score=5.0, cwe_id="CWE-1") == v
+        with pytest.raises(TypeError):
+            dataclasses.replace(v, score=9.0)
+
+    def test_unpack_and_len(self):
+        aid, name, kind, host = Asset("A1", "a", AssetKind.HARDWARE)
+        assert (aid, name, kind, host) == ("A1", "a", AssetKind.HARDWARE, None)
+        assert len(Asset("A1", "a", AssetKind.HARDWARE)) == 4
+        cve, asset, score, cwe, vtype, loc, cap = _vuln(cap=3)
+        assert (cve, score, cap) == ("CVE-1", 5.0, 3)
+        assert len(_vuln()) == 7
+
+    def test_sort_key_reads_the_enum_value(self):
+        v = _vuln(cwe=None, vtype=VulnType.XSS, loc=2, cap=3)
+        assert v._sort_key() == ("CVE-1", "A1", 5.0, "", "XSS", 2, 3, False)
+        assert Asset("S1", "app", AssetKind.SOFTWARE)._sort_key() == (
+            "S1", "app", "software", "", False)
+
+    @pytest.mark.parametrize("enum", [AssetKind, VulnType])
+    def test_enum_members_hash_by_identity(self, enum):
+        # the C-level object hash; members are singletons, so equal means identical
+        assert enum.__hash__ is object.__hash__
+        for member in enum:
+            for twin in (copy.deepcopy(member), pickle.loads(pickle.dumps(member)),
+                         enum(member.value)):
+                assert twin is member and hash(twin) == hash(member)
+        assert len(set(enum) | set(enum)) == len(enum)
 
 
 class TestClassification:
@@ -236,6 +338,27 @@ class TestConfigInvariants:
             DiscoveryConfig((), {"A1"}, attacker, 1)
         with pytest.raises(ValueError):
             DiscoveryConfig({"A1"}, (), attacker, 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("entry_points", "A1"),
+        ("target_points", "A3"),
+        ("allowed_types", "XSS"),
+        ("allowed_types", {VulnType.XSS, "Overflow"}),
+        ("allowed_types", [None]),
+    ], ids=["entry-str", "target-str", "types-str", "types-str-member", "types-none"])
+    def test_discovery_config_rejects_strings_and_foreign_types(self, field, value):
+        args = {"entry_points": {"A1"}, "target_points": ["A3"],
+                "attacker": AttackerProfile(3, 3), "propagation_length": 3}
+        args[field] = value
+        with pytest.raises(ValueError, match=field):
+            DiscoveryConfig(**args)
+
+    def test_discovery_config_takes_any_iterable(self):
+        config = DiscoveryConfig(("A1",), iter(["A3", "A4"]), AttackerProfile(3, 3), 3,
+                                 [VulnType.XSS])
+        assert config.entry_points == {"A1"}
+        assert config.target_points == {"A3", "A4"}
+        assert config.allowed_types == {VulnType.XSS}
 
     def test_discovery_config_rejects_bad_length(self):
         attacker = AttackerProfile(3, 3)

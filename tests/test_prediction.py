@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 
@@ -305,8 +304,8 @@ def _scale_graph(seed):
     """
     rng = random.Random(seed)
     generated = generate(SynthSpec(30, 120, 0.05, 25, seed))
-    vulns = [dataclasses.replace(v, score=float(rng.randint(0, 10)),
-                                 cwe_id=rng.choice(("CWE-1", "CWE-2", None)))
+    vulns = [v._replace(score=float(rng.randint(0, 10)),
+                        cwe_id=rng.choice(("CWE-1", "CWE-2", None)))
              for v in generated.vulnerabilities]
     graph = AssetGraph(generated.assets, vulns, generated.edges)
     sims, _ = per_pair_reference(graph, _empty_result(), DEFAULTS)
