@@ -14,10 +14,12 @@ rejected.
 
 load_assets, load_vulnerabilities and load_edges each return a set-like
 view (it equals a set of the same records) that iterates in file order.
-The last two drop exact repeats; a repeated asset id is an error.  Asset
-and VulnerabilityInstance records are immutable tuples.  A saved file is
-already in the graph's order, so AssetGraph sorts what the loaders return
-in near-linear time.
+The last two drop exact repeats; a repeated asset id is an error.  Once
+every row parses, each loader runs model's per-record rules and raises the
+first fault at its line; only validate_model checks conflicting (cve_id,
+asset) records.  Asset and VulnerabilityInstance records are immutable
+tuples.  A saved file is already in the graph's order, so AssetGraph sorts
+what the loaders return in near-linear time.
 
 Asset ids may not contain a comma, "->", a double quote, a backslash or a
 line break: the reports and the DOT export write ids as they are.
@@ -47,6 +49,9 @@ from attackcf.model import (
     PredictionConfig,
     VulnType,
     VulnerabilityInstance,
+    _edge_violations,
+    _host_violations,
+    _vulnerability_violations,
 )
 
 _VULN_TYPE_TOKENS = {t.value: t for t in VulnType}
@@ -111,7 +116,7 @@ def load_assets(path) -> AbstractSet[Asset]:
     path = Path(path)
     # record -> line, for the host check once every id is known
     assets: dict[Asset, int] = {}
-    kinds: dict[str, AssetKind] = {}
+    known: dict[str, Asset] = {}
     for line_no, (aid, name, kind, host) in _rows(path, 4, "asset"):
         if not aid:
             raise IngestError(f"{path}:{line_no}: empty asset id")
@@ -120,26 +125,17 @@ def load_assets(path) -> AbstractSet[Asset]:
                 f"{path}:{line_no}: asset id {aid!r} contains a comma, '->', "
                 "a double quote, a backslash or a line break"
             )
-        if aid in kinds:
+        if aid in known:
             raise IngestError(f"{path}:{line_no}: duplicate asset id {aid}")
         kind_val = _ASSET_KIND_TOKENS.get(kind)
         if kind_val is None:
             raise IngestError(
                 f"{path}:{line_no}: field kind must be 'hardware' or 'software', got {kind!r}"
             )
-        kinds[aid] = kind_val
-        assets[Asset(aid, name, kind_val, host or None)] = line_no
-    for a, line_no in assets.items():
-        if a.host is not None:
-            host_kind = kinds.get(a.host)
-            if host_kind is None:
-                raise IngestError(
-                    f"{path}:{line_no}: asset {a.id} hosted on missing asset {a.host}"
-                )
-            if host_kind is not AssetKind.HARDWARE:
-                raise IngestError(
-                    f"{path}:{line_no}: asset {a.id} hosted on non-hardware asset {a.host}"
-                )
+        asset = known[aid] = Asset(aid, name, kind_val, host or None)
+        assets[asset] = line_no
+    for a, message in _host_violations(assets, known):
+        raise IngestError(f"{path}:{assets[a]}: {message}")
     return assets.keys()
 
 
@@ -171,17 +167,12 @@ def _parse_requirements(path: Path, line_no: int, loc_field: str, cap_field: str
         ("required_capability", cap_field),
     ):
         try:
-            value = int(raw)
+            out.append(int(raw))
         except ValueError:
             raise IngestError(
                 f"{path}:{line_no}: field {field_name} must be an integer "
                 f"or a CVSS vector, got {raw!r}"
             ) from None
-        if value not in (1, 2, 3):
-            raise IngestError(
-                f"{path}:{line_no}: field {field_name} must be 1, 2 or 3, got {raw!r}"
-            )
-        out.append(value)
     return out[0], out[1]
 
 
@@ -189,23 +180,17 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
     """Parse a vulnerabilities file into its records, a set-like view in file
     order with exact repeats dropped; every row must reference a known asset."""
     path = Path(path)
-    ids = {a.id for a in assets}
-    vulns: dict[VulnerabilityInstance, None] = {}
+    # record -> line (the last of exact repeats), for the checks once every row parses
+    vulns: dict[VulnerabilityInstance, int] = {}
     for line_no, (cve, aid, score_s, cwe, vtype, loc_s, cap_s) in _rows(
         path, 7, "vulnerability"
     ):
-        if aid not in ids:
-            raise IngestError(f"{path}:{line_no}: unknown asset {aid} for {cve}")
         try:
             score = float(score_s)
         except ValueError:
             raise IngestError(
                 f"{path}:{line_no}: field score must be a decimal, got {score_s!r}"
             ) from None
-        if not 0.0 <= score <= 10.0:
-            raise IngestError(
-                f"{path}:{line_no}: score {score_s} out of range [0, 10]"
-            )
         vtype_val = _VULN_TYPE_TOKENS.get(vtype)
         if vtype_val is None:
             raise IngestError(
@@ -213,7 +198,10 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
                 + ", ".join(sorted(_VULN_TYPE_TOKENS))
             )
         loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)
-        vulns[VulnerabilityInstance(cve, aid, score, cwe or None, vtype_val, loc, cap)] = None
+        vulns[VulnerabilityInstance(cve, aid, score, cwe or None, vtype_val, loc, cap)] = line_no
+    known = {a.id: a for a in assets}
+    for v, message in _vulnerability_violations(vulns, known):
+        raise IngestError(f"{path}:{vulns[v]}: {message}")
     return vulns.keys()
 
 
@@ -221,15 +209,13 @@ def load_edges(path, assets) -> AbstractSet[tuple[str, str]]:
     """Parse an edges file into directed (src, dst) pairs, a set-like view in
     file order with repeats dropped."""
     path = Path(path)
-    ids = {a.id for a in assets}
-    edges: dict[tuple[str, str], None] = {}
+    # edge -> line, as in load_vulnerabilities
+    edges: dict[tuple[str, str], int] = {}
     for line_no, (src, dst) in _rows(path, 2, "edge"):
-        if src == dst:
-            raise IngestError(f"{path}:{line_no}: self-loop edge on {src}")
-        for endpoint in (src, dst):
-            if endpoint not in ids:
-                raise IngestError(f"{path}:{line_no}: unknown asset {endpoint}")
-        edges[src, dst] = None
+        edges[src, dst] = line_no
+    known = {a.id: a for a in assets}
+    for e, message in _edge_violations(edges, known):
+        raise IngestError(f"{path}:{edges[e]}: {message}")
     return edges.keys()
 
 
@@ -238,6 +224,11 @@ def _parse_int(raw: str, key: str, path: Path) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{path}: key {key} must be an integer, got {raw!r}") from None
+
+
+def _split_list(raw: str) -> list[str]:
+    """The comma-separated tokens of a list value, stripped, empty ones dropped."""
+    return [t for t in map(str.strip, raw.split(",")) if t]
 
 
 def load_config(path) -> tuple[DiscoveryConfig, PredictionConfig]:
@@ -265,22 +256,22 @@ def load_config(path) -> tuple[DiscoveryConfig, PredictionConfig]:
         if key not in values:
             raise ConfigError(f"{path}: missing required key {key}")
 
-    entries = [t.strip() for t in values["entry_points"].split(",") if t.strip()]
-    targets = [t.strip() for t in values["target_points"].split(",") if t.strip()]
+    entries = _split_list(values["entry_points"])
+    targets = _split_list(values["target_points"])
 
     # options the file leaves out keep the config classes' defaults
     options = {}
     if "allowed_types" in values:
-        allowed = set()
-        for token in values["allowed_types"].split(","):
-            token = token.strip()
+        tokens = _split_list(values["allowed_types"])
+        if not tokens:
+            raise ConfigError(f"{path}: allowed_types must not be empty")
+        for token in tokens:
             if token not in _VULN_TYPE_TOKENS:
                 raise ConfigError(
                     f"{path}: unknown vuln_type {token!r} in allowed_types; "
                     "accepted: " + ", ".join(sorted(_VULN_TYPE_TOKENS))
                 )
-            allowed.add(_VULN_TYPE_TOKENS[token])
-        options["allowed_types"] = allowed
+        options["allowed_types"] = {_VULN_TYPE_TOKENS[t] for t in tokens}
 
     try:
         attacker = AttackerProfile(

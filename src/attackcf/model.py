@@ -7,6 +7,9 @@ a changed copy through _replace.  They check nothing when built.
 Graph-level consistency (dangling references, duplicate ids, out-of-range
 scores) is reported by :func:`validate_model` rather than raised at
 construction time, so that broken input data can be inspected as data.
+Each per-record rule lives in one _*_violations generator here, which
+validate_model and the ingest loaders both run; conflicting records of one
+(cve_id, asset) are found by validate_model alone.
 Configuration types, by contrast, reject invalid values immediately:
 a bad config is an operator error, not a data-quality finding.
 """
@@ -116,9 +119,10 @@ class AssetGraph:
 
     Construction normalises the three collections to sorted, de-duplicated
     tuples so that structurally equal models compare equal regardless of
-    input order.  The graph indexes (adjacency for traversal, shared_cves
-    for similarity) are built on first use, at most once per graph, and
-    shared by every algorithm that reads them.
+    input order.  Four lookups are built on first use, once per graph, and
+    shared: asset_by_id (validate_model, load_bundle, entry eligibility),
+    vulns_by_asset (entry eligibility), adjacency (the discovery BFS and
+    DFS) and shared_cves (similarity_matrix and predict).
     """
 
     assets: tuple[Asset, ...]
@@ -322,57 +326,61 @@ class Prediction:
             raise ValueError(f"prediction src and dst must differ, got {self.src}")
 
 
+def _host_violations(assets, known):
+    """Yield (asset, message) per host missing from known (id -> Asset) or not hardware."""
+    for a in assets:
+        aid, _, _, host = a
+        if host is None:
+            continue
+        if host not in known:
+            yield a, f"asset {aid} hosted on missing asset {host}"
+        elif known[host][2] is not AssetKind.HARDWARE:  # the host's kind
+            yield a, f"asset {aid} hosted on non-hardware asset {host}"
+
+
+def _vulnerability_violations(vulnerabilities, known):
+    """Yield (record, message) per missing asset, bad score and bad requirement."""
+    for v in vulnerabilities:
+        cve, aid, score, _, _, loc, cap = v
+        if aid not in known:
+            yield v, f"vulnerability {cve} references missing asset {aid}"
+        if not 0.0 <= score <= 10.0:
+            yield v, f"vulnerability {cve} on {aid} has score {score} outside [0, 10]"
+        if loc not in (1, 2, 3):
+            yield v, (f"vulnerability {cve} on {aid} has required_location {loc} "
+                      "outside {1,2,3}")
+        if cap not in (1, 2, 3):
+            yield v, (f"vulnerability {cve} on {aid} has required_capability {cap} "
+                      "outside {1,2,3}")
+
+
+def _edge_violations(edges, known):
+    """Yield (edge, message) per self-loop and missing endpoint."""
+    for e in edges:
+        src, dst = e
+        if src == dst:
+            yield e, f"self-loop edge on asset {src}"
+        for endpoint in e:
+            if endpoint not in known:
+                yield e, f"edge references missing asset {endpoint}"
+
+
 def validate_model(graph: AssetGraph) -> list[str]:
     """Check every structural invariant of a graph; return one message per violation.
 
     An empty list means the model is valid.  Violations are data, not
-    failures: this never raises for bad model content.
+    failures: this never raises for bad model content.  Order: repeated
+    asset ids, hosts, per-record vulnerability faults, conflicting records
+    of one (cve_id, asset) (after every other vulnerability fault), edges.
     """
-    violations: list[str] = []
     known = graph.asset_by_id
-
     # assets sort by id and records by (cve, asset), so duplicates are neighbours
-    for before, a in pairwise(graph.assets):
-        if a.id == before.id:
-            violations.append(f"duplicate asset id {a.id}")
-
-    for a in graph.assets:
-        if a.host is not None:
-            host = known.get(a.host)
-            if host is None:
-                violations.append(f"asset {a.id} hosted on missing asset {a.host}")
-            elif host.kind is not AssetKind.HARDWARE:
-                violations.append(
-                    f"asset {a.id} hosted on non-hardware asset {a.host}"
-                )
-
-    before = None
-    for v in graph.vulnerabilities:
-        if v.asset not in known:
-            violations.append(f"vulnerability {v.cve_id} references missing asset {v.asset}")
-        if not 0.0 <= v.score <= 10.0:
-            violations.append(
-                f"vulnerability {v.cve_id} on {v.asset} has score {v.score} outside [0, 10]"
-            )
-        if v.required_location not in (1, 2, 3):
-            violations.append(
-                f"vulnerability {v.cve_id} on {v.asset} has required_location "
-                f"{v.required_location} outside {{1,2,3}}"
-            )
-        if v.required_capability not in (1, 2, 3):
-            violations.append(
-                f"vulnerability {v.cve_id} on {v.asset} has required_capability "
-                f"{v.required_capability} outside {{1,2,3}}"
-            )
-        if before is not None and v.cve_id == before.cve_id and v.asset == before.asset:
-            violations.append(f"duplicate vulnerability instance {v.cve_id} on {v.asset}")
-        before = v
-
-    for src, dst in graph.edges:
-        if src == dst:
-            violations.append(f"self-loop edge on asset {src}")
-        for endpoint in (src, dst):
-            if endpoint not in known:
-                violations.append(f"edge references missing asset {endpoint}")
-
+    violations = [f"duplicate asset id {a.id}"
+                  for before, a in pairwise(graph.assets) if a.id == before.id]
+    violations += [m for _, m in _host_violations(graph.assets, known)]
+    violations += [m for _, m in _vulnerability_violations(graph.vulnerabilities, known)]
+    violations += [f"duplicate vulnerability instance {v.cve_id} on {v.asset}"
+                   for before, v in pairwise(graph.vulnerabilities)
+                   if v.cve_id == before.cve_id and v.asset == before.asset]
+    violations += [m for _, m in _edge_violations(graph.edges, known)]
     return violations

@@ -31,6 +31,12 @@ class TestSynthSpec:
         with pytest.raises(ValueError):
             SynthSpec(1, 1, 0.5, 0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError) as exc:
+            SynthSpec(1, 1, 0.5, 1, seed)
+        assert str(exc.value) == "seed must fit in 64 unsigned bits"
+
 
 class TestGenerate:
     def test_deterministic(self):

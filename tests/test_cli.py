@@ -204,6 +204,11 @@ class TestBenchCommand:
         rc = main(["bench", "--density", "0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        rc = main(["bench", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must fit in 64 unsigned bits\n"
+
     def test_custom_matrix_file(self, tmp_path):
         matrix = tmp_path / "matrix.csv"
         matrix.write_text(

@@ -157,6 +157,12 @@ class TestDiscover:
         with pytest.raises(ValueError, match="entry"):
             discover(office, config)
 
+    def test_unbound_target_points_raise(self, office):
+        config = DiscoveryConfig({"A1"}, {"Z9"}, AttackerProfile(3, 3), 1)
+        with pytest.raises(ValueError) as exc:
+            discover(office, config)
+        assert str(exc.value) == "no configured target point exists in the graph"
+
     def test_all_traversals_share_one_adjacency(self, office, monkeypatch):
         seen = []
 

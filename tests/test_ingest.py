@@ -18,7 +18,14 @@ from attackcf.ingest import (
     save_edges,
     save_vulnerabilities,
 )
-from attackcf.model import Asset, AssetGraph, AssetKind, VulnType, VulnerabilityInstance
+from attackcf.model import (
+    Asset,
+    AssetGraph,
+    AssetKind,
+    VulnType,
+    VulnerabilityInstance,
+    validate_model,
+)
 
 from conftest import ALLOWED_IDS, DEMO_DIR, STRIPPED_TEXT, office_graph
 
@@ -85,6 +92,12 @@ class TestLoadAssets:
         with pytest.raises(IngestError, match=r"a\.csv:3: asset id"):
             load_assets(path)
 
+    def test_empty_id_rejected_with_line(self, tmp_path):
+        path = _write(tmp_path, "a.csv", ASSET_HEADER + "A0,x,hardware,\n,y,hardware,\n")
+        with pytest.raises(IngestError) as exc:
+            load_assets(path)
+        assert str(exc.value) == f"{path}:3: empty asset id"
+
     def test_bad_kind(self, tmp_path):
         path = _write(tmp_path, "a.csv", ASSET_HEADER + "A1,x,firmware,\n")
         with pytest.raises(IngestError, match="hardware"):
@@ -144,8 +157,16 @@ class TestLoadVulnerabilities:
             tmp_path, "v.csv",
             VULN_HEADER + f"CVE-1,A1,{score},CWE-1,XSS,1,1\n",
         )
-        with pytest.raises(IngestError, match="range"):
+        with pytest.raises(IngestError) as exc:
             load_vulnerabilities(path, base_assets)
+        assert str(exc.value) == (
+            f"{path}:2: vulnerability CVE-1 on A1 has score {float(score)} outside [0, 10]")
+
+    def test_non_decimal_score_rejected(self, tmp_path, base_assets):
+        path = _write(tmp_path, "v.csv", VULN_HEADER + "CVE-1,A1,high,CWE-1,XSS,1,1\n")
+        with pytest.raises(IngestError) as exc:
+            load_vulnerabilities(path, base_assets)
+        assert str(exc.value) == f"{path}:2: field score must be a decimal, got 'high'"
 
     def test_unknown_type_lists_tokens(self, tmp_path, base_assets):
         path = _write(
@@ -202,7 +223,8 @@ class TestLoadVulnerabilities:
         path = _write(tmp_path, "v.csv", VULN_HEADER + f"CVE-1,A1,5,CWE-1,XSS,{loc},{cap}\n")
         with pytest.raises(IngestError) as exc:
             load_vulnerabilities(path, base_assets)
-        assert str(exc.value) == f"{path}:2: field {field} must be 1, 2 or 3, got '{raw}'"
+        assert str(exc.value) == (
+            f"{path}:2: vulnerability CVE-1 on A1 has {field} {raw} outside {{1,2,3}}")
 
     def test_non_integer_requirement_rejected(self, tmp_path, base_assets):
         path = _write(tmp_path, "v.csv", VULN_HEADER + "CVE-1,A1,5,CWE-1,XSS,1,high\n")
@@ -272,6 +294,69 @@ class TestLoadEdges:
             load_edges(path, assets)
 
 
+HW, SW = AssetKind.HARDWARE, AssetKind.SOFTWARE
+PC = Asset("A1", "pc", HW)
+
+
+def _record(cve="CVE-1", asset="A1", score=5.0, loc=1, cap=1):
+    return VulnerabilityInstance(cve, asset, score, "CWE-1", VulnType.XSS, loc, cap)
+
+
+# one case per rule of model's _*_violations generators: the file broken at
+# `line`, and the same records built in code
+SHARED_RULE_CASES = {
+    "host-missing": ("assets", "A1,pc,hardware,\nS9,app,software,GHOST\n", 3,
+                     AssetGraph([PC, Asset("S9", "app", SW, "GHOST")])),
+    "host-software": ("assets", "S9,app,software,S2\nS2,os,software,\n", 2,
+                      AssetGraph([Asset("S9", "app", SW, "S2"), Asset("S2", "os", SW)])),
+    "vuln-missing-asset": ("vulns", "CVE-1,A9,5,CWE-1,XSS,1,1\n", 2,
+                           AssetGraph([PC], [_record(asset="A9")])),
+    "score": ("vulns", "CVE-1,A1,99,CWE-1,XSS,1,1\n", 2,
+              AssetGraph([PC], [_record(score=99.0)])),
+    "location": ("vulns", "CVE-1,A1,5,CWE-1,XSS,7,1\n", 2,
+                 AssetGraph([PC], [_record(loc=7)])),
+    "capability": ("vulns", "CVE-1,A1,5,CWE-1,XSS,1,0\n", 2,
+                   AssetGraph([PC], [_record(cap=0)])),
+    "self-loop": ("edges", "A1,A1\n", 2, AssetGraph([PC], edges=[("A1", "A1")])),
+    "edge-missing-asset": ("edges", "A1,B7\n", 2, AssetGraph([PC], edges=[("A1", "B7")])),
+}
+
+
+def _model_files(tmp_path, assets="A1,pc,hardware,\n", vulns="", edges=""):
+    return (_write(tmp_path, "assets.csv", ASSET_HEADER + assets),
+            _write(tmp_path, "vulns.csv", VULN_HEADER + vulns),
+            _write(tmp_path, "edges.csv", "src,dst\n" + edges))
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("case", SHARED_RULE_CASES)
+    def test_loader_reports_validate_model_message_at_line(self, tmp_path, case):
+        which, rows, line, graph = SHARED_RULE_CASES[case]
+        files = _model_files(tmp_path, **{which: rows})
+        (message,) = validate_model(graph)
+        with pytest.raises(IngestError) as exc:
+            load_model(*files)
+        path = files[("assets", "vulns", "edges").index(which)]
+        assert str(exc.value) == f"{path}:{line}: {message}"
+
+    def test_first_faulty_record_in_file_order_is_reported(self, tmp_path):
+        files = _model_files(tmp_path, vulns="CVE-1,A1,5,CWE-1,XSS,1,1\n"
+                             "CVE-2,A1,5,CWE-1,XSS,1,9\nCVE-3,A9,99,CWE-1,XSS,1,1\n")
+        with pytest.raises(IngestError) as exc:
+            load_model(*files)
+        assert str(exc.value) == (
+            f"{files[1]}:3: vulnerability CVE-2 on A1 has required_capability 9 outside {{1,2,3}}")
+
+    def test_unparsable_row_reported_before_an_earlier_rule_fault(self, tmp_path):
+        files = _model_files(tmp_path, vulns="CVE-1,A9,5,CWE-1,XSS,1,1\n"
+                             "CVE-2,A1,5,CWE-1,Phishing,1,1\n")
+        with pytest.raises(IngestError) as exc:
+            load_model(*files)
+        assert str(exc.value) == (
+            f"{files[1]}:3: unknown vuln_type 'Phishing'; accepted: BypassSomething, "
+            "CodeExecution, MemoryCorruption, ObtainPrivilege, Other, Overflow, XSS")
+
+
 CONFIG_MINIMAL = """\
 entry_points=A1,A2
 target_points=A1,A2,A3
@@ -320,8 +405,23 @@ class TestLoadConfig:
             load_config(_write(tmp_path, "c.txt", CONFIG_MINIMAL + "mystery=1\n"))
 
     def test_duplicate_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="duplicate"):
-            load_config(_write(tmp_path, "c.txt", CONFIG_MINIMAL + "x1=5\nx1=6\n"))
+        path = _write(tmp_path, "c.txt", CONFIG_MINIMAL + "x1=5\nx1=6\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:7: duplicate key 'x1'"
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = _write(tmp_path, "c.txt", CONFIG_MINIMAL + "x1 5\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:6: expected key=value, got 'x1 5'"
+
+    def test_non_integer_value_rejected(self, tmp_path):
+        path = _write(tmp_path, "c.txt",
+                      CONFIG_MINIMAL.replace("attacker_location=3", "attacker_location=high"))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: key attacker_location must be an integer, got 'high'"
 
     def test_missing_required_key(self, tmp_path):
         text = CONFIG_MINIMAL.replace("attacker_location=3\n", "")
@@ -342,6 +442,27 @@ class TestLoadConfig:
         bom = tmp_path / "bom.txt"
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         assert load_config(bom) == plain
+
+    @pytest.mark.parametrize("value, expected", [
+        ("XSS,", {VulnType.XSS}),
+        (" XSS , ,Other ", {VulnType.XSS, VulnType.OTHER}),
+    ], ids=["trailing-comma", "spaces-and-empty"])
+    def test_allowed_types_drop_empty_tokens(self, tmp_path, value, expected):
+        text = CONFIG_MINIMAL + f"allowed_types={value}\n"
+        discovery, _ = load_config(_write(tmp_path, "c.txt", text))
+        assert discovery.allowed_types == expected
+
+    def test_entry_points_drop_empty_tokens(self, tmp_path):
+        text = CONFIG_MINIMAL.replace("entry_points=A1,A2", "entry_points=A1, ,")
+        discovery, _ = load_config(_write(tmp_path, "c.txt", text))
+        assert discovery.entry_points == {"A1"}
+
+    @pytest.mark.parametrize("value", ["", " , ,"], ids=["blank", "commas"])
+    def test_empty_allowed_types_rejected(self, tmp_path, value):
+        path = _write(tmp_path, "c.txt", CONFIG_MINIMAL + f"allowed_types={value}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: allowed_types must not be empty"
 
     def test_bad_allowed_type(self, tmp_path):
         text = CONFIG_MINIMAL + "allowed_types=XSS,Nope\n"

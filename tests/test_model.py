@@ -131,6 +131,17 @@ class TestValidateModel:
         )
         assert validate_model(graph) == ["duplicate vulnerability instance CVE-1 on A1"] * 2
 
+    def test_conflicting_duplicate_follows_every_per_record_fault(self):
+        # CVE-1's records sort before CVE-2's, yet its conflict is listed last
+        graph = AssetGraph(
+            assets=[Asset("A1", "a", AssetKind.HARDWARE)],
+            vulnerabilities=[_vuln(score=5.0), _vuln(score=6.0), _vuln(cve="CVE-2", score=11.0)],
+        )
+        assert validate_model(graph) == [
+            "vulnerability CVE-2 on A1 has score 11.0 outside [0, 10]",
+            "duplicate vulnerability instance CVE-1 on A1",
+        ]
+
     def test_every_rule_broken_once_in_order(self):
         graph = AssetGraph(
             assets=[
