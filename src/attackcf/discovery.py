@@ -17,6 +17,7 @@ search from one entry to one target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from attackcf import _kernels
 from attackcf.model import (
@@ -65,15 +66,17 @@ def entry_eligible(
     return False
 
 
-def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[tuple[str, ...]]:
+def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[AttackPath]:
     """Every simple path of at most max_len edges from sources (ascending
-    asset ids) to targets, as a tuple of asset ids, sorted by node-id
-    sequence."""
+    asset ids) to targets, sorted by node-id sequence."""
     adj = graph.adjacency
     to_target = _kernels.bfs_lengths(adj.pred, [adj.index[t] for t in targets], max_len)
     # sources ascend and indices sort like ids, so the paths come out sorted
-    return _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
-                                 to_target, max_len)
+    found = _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
+                                  to_target, max_len)
+    # the kernel emits only simple paths of at least one edge: AttackPath's
+    # check could not fail, so the paths skip it
+    return list(map(tuple.__new__, repeat(AttackPath), found))
 
 
 def enumerate_simple_paths(
@@ -91,7 +94,7 @@ def enumerate_simple_paths(
     if entry == target:
         raise ValueError(f"entry and target must differ, got {entry!r} for both")
     _check_positive_int("max_len", max_len)
-    return list(map(AttackPath, _search(graph, [entry], [target], max_len)))
+    return _search(graph, [entry], [target], max_len)
 
 
 def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
@@ -121,6 +124,6 @@ def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
 
     found = _search(graph, eligible, targets, config.propagation_length)
     return DiscoveryResult(
-        paths=tuple(map(AttackPath, found)),
+        paths=tuple(found),
         affected_assets=frozenset().union(*found),
     )

@@ -10,6 +10,11 @@ construction time, so that broken input data can be inspected as data.
 Each per-record rule lives in one _*_violations generator here, which
 validate_model and the ingest loaders both run; conflicting records of one
 (cve_id, asset) are found by validate_model alone.
+The result records are tuples too: an AttackPath is the tuple of its node
+ids and a Prediction a NamedTuple.  Calling either class checks its one
+rule (a simple path of two nodes or more; src != dst); discover and predict,
+whose output meets the rule by construction, build them with tuple.__new__
+and skip the check.
 Configuration types, by contrast, reject invalid values immediately:
 a bad config is an operator error, not a data-quality finding.
 """
@@ -241,36 +246,54 @@ class DiscoveryConfig:
             raise ValueError("entry_points must not be empty")
         if not self.target_points:
             raise ValueError("target_points must not be empty")
+        if not self.allowed_types:
+            raise ValueError("allowed_types must not be empty")
         _check_positive_int("propagation_length", propagation_length)
         for t in self.allowed_types:
             if not isinstance(t, VulnType):
                 raise ValueError(f"allowed_types must hold VulnType members, got {t!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class AttackPath:
-    """An ordered, non-repeating asset sequence from an entry point to a target point."""
+class AttackPath(tuple):
+    """An ordered, non-repeating asset sequence from an entry point to a target point.
 
-    nodes: tuple[str, ...]
+    The path is the tuple of its node ids, and nodes returns the path
+    itself: it equals, hashes and sorts like that plain tuple.  Calling the
+    class checks the path; discovery wraps the simple paths its search
+    emits with tuple.__new__ and skips the check.
+    """
 
-    def __init__(self, nodes):
-        object.__setattr__(self, "nodes", tuple(nodes))
-        if len(self.nodes) < 2:
+    __slots__ = ()
+
+    def __new__(cls, nodes):
+        # tuple("AB") would be the path A -> B
+        if isinstance(nodes, str):
+            raise ValueError(f"nodes must be a collection, not the string {nodes!r}")
+        self = tuple.__new__(cls, nodes)
+        if len(self) < 2:
             raise ValueError("an attack path needs at least two nodes")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"attack path revisits a node: {self.nodes}")
+        if len(set(self)) != len(self):
+            raise ValueError(f"attack path revisits a node: {tuple(self)}")
+        return self
+
+    def __repr__(self) -> str:
+        return f"AttackPath({tuple.__repr__(self)})"
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return self
 
     @property
     def entry(self) -> str:
-        return self.nodes[0]
+        return self[0]
 
     @property
     def target(self) -> str:
-        return self.nodes[-1]
+        return self[-1]
 
     @property
     def n_edges(self) -> int:
-        return len(self.nodes) - 1
+        return len(self) - 1
 
 
 class Classification(IntEnum):
@@ -304,16 +327,7 @@ class PredictionConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Prediction:
-    """A classified directed asset pair.
-
-    similarity carries the Pearson value of the pair's shared vulnerability
-    scores (0.0 when undefined); degenerate marks values assigned by the
-    zero-information / identical-scores rule instead of the correlation
-    formula.  co_rated is the exact number of CVEs shared by src and dst.
-    """
-
+class _PredictionFields(NamedTuple):
     src: str
     dst: str
     level: Classification
@@ -321,9 +335,26 @@ class Prediction:
     co_rated: int
     degenerate: bool = False
 
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError(f"prediction src and dst must differ, got {self.src}")
+
+class Prediction(_PredictionFields):
+    """A classified directed asset pair.
+
+    similarity carries the Pearson value of the pair's shared vulnerability
+    scores (0.0 when undefined); degenerate marks values assigned by the
+    zero-information / identical-scores rule instead of the correlation
+    formula.  co_rated is the exact number of CVEs shared by src and dst.
+
+    A NamedTuple: it equals and hashes like the plain tuple of its fields.
+    Calling the class rejects src == dst; predict builds its predictions
+    with tuple.__new__ and skips the check, as _make and _replace do.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src, dst, level, similarity, co_rated, degenerate=False):
+        if src == dst:
+            raise ValueError(f"prediction src and dst must differ, got {src}")
+        return tuple.__new__(cls, (src, dst, level, similarity, co_rated, degenerate))
 
 
 def _host_violations(assets, known):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from attackcf.discovery import DiscoveryResult
 from attackcf.model import AssetGraph, Classification, Prediction, PredictionConfig
@@ -76,20 +77,28 @@ def predict(
     src, then dst.
     """
     path_endpoints = {(p.entry, p.target) for p in paths.paths}
+    # A pair's tiers depend only on (co_rated, types agree), and few pairs
+    # differ in it: tiers maps each distinct input, classified once, to the
+    # pair's (tier off every path, tier on a path).
+    tiers: dict[tuple[int, bool], tuple[Classification, Classification]] = {}
 
     # by_tier[level][src] holds src's predictions at that tier.  Pairs come
     # sorted by (a, b) with a < b, so every asset meets its partners in
     # ascending order: first those below it, as b, then those above it, as a.
+    # As a != b, the predictions skip Prediction's check.
     by_tier = [defaultdict(list) for _ in range(max(Classification) + 1)]
+    new = tuple.__new__
     for a, b, value, co_rated, degenerate, agree in _similarities(graph):
-        base = classify_pair(co_rated, agree, config)
+        pair_tiers = tiers.get((co_rated, agree))
+        if pair_tiers is None:
+            base = classify_pair(co_rated, agree, config)
+            pair_tiers = tiers[co_rated, agree] = (_rearranged(base, False),
+                                                   _rearranged(base, True))
         for src, dst in ((a, b), (b, a)):
-            level = _rearranged(base, (src, dst) in path_endpoints)
+            level = pair_tiers[(src, dst) in path_endpoints]
             by_tier[level][src].append(
-                Prediction(src, dst, level, value, co_rated, degenerate))
+                new(Prediction, (src, dst, level, value, co_rated, degenerate)))
 
-    predictions: list[Prediction] = []
-    for by_src in reversed(by_tier):
-        for src in sorted(by_src):
-            predictions += by_src[src]
-    return PredictionReport(predictions=tuple(predictions), config_echo=config)
+    predictions = tuple(chain.from_iterable(
+        by_src[src] for by_src in reversed(by_tier) for src in sorted(by_src)))
+    return PredictionReport(predictions=predictions, config_echo=config)

@@ -48,11 +48,11 @@ def format_prediction_report(report: PredictionReport) -> str:
         f"# n_predictions={len(report.predictions)}",
         PREDICT_HEADER,
     ]
-    for p in report.predictions:
-        lines.append(
-            f"{p.src},{p.dst},{_LEVEL_TOKENS[p.level]},{p.co_rated},"
-            f"{p.similarity!r},{'true' if p.degenerate else 'false'}"
-        )
+    lines += [
+        f"{src},{dst},{_LEVEL_TOKENS[level]},{co_rated},"
+        f"{similarity!r},{'true' if degenerate else 'false'}"
+        for src, dst, level, similarity, co_rated, degenerate in report.predictions
+    ]
     return "\n".join(lines) + "\n"
 
 

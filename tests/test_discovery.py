@@ -3,11 +3,13 @@ import random
 import pytest
 
 from attackcf import _kernels
+from attackcf.bench import SynthSpec, generate
 from attackcf.discovery import discover, entry_eligible, enumerate_simple_paths
 from attackcf.model import (
     Asset,
     AssetGraph,
     AssetKind,
+    AttackPath,
     AttackerProfile,
     DEFAULT_ALLOWED_TYPES,
     DiscoveryConfig,
@@ -334,3 +336,21 @@ class TestDiscoverProperties:
             result = discover(g, config)
             assert len(result.paths) == len(set(result.paths))
             assert list(result.paths) == sorted(result.paths, key=lambda p: p.nodes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unchecked_paths_are_the_checked_ones(seed):
+    # discovery builds its paths past AttackPath's check; each must be the
+    # very path the checking constructor builds from its nodes
+    graph = generate(SynthSpec(6, 24, 0.3, 2, seed))
+    ids = sorted(a.id for a in graph.assets)
+    rng = random.Random(seed)
+    entries, targets = rng.sample(ids, 4), rng.sample(ids, 6)
+    found = list(discover(graph, DiscoveryConfig(entries, targets, AttackerProfile(3, 3), 5,
+                                                 frozenset(VulnType))).paths)
+    for entry in entries:
+        found += enumerate_simple_paths(graph, entry, next(t for t in targets if t != entry), 5)
+    assert len(found) > 200
+    for p in found:
+        assert type(p) is AttackPath
+        assert p == AttackPath(p.nodes)

@@ -350,6 +350,11 @@ class TestConfigInvariants:
         with pytest.raises(ValueError):
             DiscoveryConfig({"A1"}, (), attacker, 1)
 
+    def test_discovery_config_rejects_empty_allowed_types(self):
+        # an empty filter would leave every entry ineligible
+        with pytest.raises(ValueError, match="^allowed_types must not be empty$"):
+            DiscoveryConfig({"A1"}, {"A3"}, AttackerProfile(3, 3), 3, allowed_types=())
+
     @pytest.mark.parametrize("field, value", [
         ("entry_points", "A1"),
         ("target_points", "A3"),
@@ -400,11 +405,23 @@ class TestAttackPath:
         with pytest.raises(ValueError):
             AttackPath(["A1", "A2", "A1"])
 
+    def test_rejects_a_bare_string(self):
+        # tuple("AB") would be the path A -> B
+        with pytest.raises(ValueError, match="string 'AB'"):
+            AttackPath("AB")
+
     def test_endpoints(self):
         p = AttackPath(["A1", "A2", "A3"])
         assert p.entry == "A1"
         assert p.target == "A3"
         assert p.n_edges == 2
+
+    def test_is_the_tuple_of_its_nodes(self):
+        p = AttackPath(iter(["A1", "A2", "A3"]))
+        assert p.nodes is p
+        assert p == ("A1", "A2", "A3")
+        assert p < AttackPath(["A1", "A3"])
+        assert repr(p) == "AttackPath(('A1', 'A2', 'A3'))"
 
 
 def test_prediction_rejects_self_pair():
@@ -412,12 +429,59 @@ def test_prediction_rejects_self_pair():
         Prediction("A1", "A1", Classification.HIGH, 0.0, 1)
 
 
-@pytest.mark.parametrize("value, field", [
-    (AttackPath(["A1", "A2"]), "nodes"),
-    (Prediction("A1", "A2", Classification.HIGH, 0.5, 2), "level"),
-])
+def test_prediction_fields_and_default():
+    p = Prediction(src="A1", dst="A2", level=Classification.HIGH, similarity=0.5, co_rated=2)
+    assert p._fields == ("src", "dst", "level", "similarity", "co_rated", "degenerate")
+    assert (p.src, p.dst, p.level, p.similarity, p.co_rated, p.degenerate) == (
+        "A1", "A2", Classification.HIGH, 0.5, 2, False)
+    assert repr(p).startswith("Prediction(src='A1', dst='A2', ")
+
+
+_PATH = AttackPath(["A1", "A2"])
+_PREDICTION = Prediction("A1", "A2", Classification.HIGH, 0.5, 2)
+#: the same records built past their checks, as _make and tuple.__new__ allow
+_BAD_PATH = tuple.__new__(AttackPath, ("A1", "A1"))
+_BAD_PREDICTION = Prediction._make(("A1", "A1", Classification.HIGH, 0.5, 2, False))
+
+
+@pytest.mark.parametrize("value, field", [(_PATH, "nodes"), (_PREDICTION, "level")])
 def test_result_types_are_slotted_and_frozen(value, field):
     # one instance per path or prediction: no per-instance __dict__
     assert not hasattr(value, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize("value", [_PATH, _PREDICTION], ids=["path", "prediction"])
+def test_result_types_equal_and_hash_like_a_plain_tuple(value):
+    plain = tuple(value)
+    assert type(plain) is tuple
+    assert value == plain and plain == value
+    assert hash(value) == hash(plain)
+    assert {plain: 1}[value] == 1
+
+
+def _pickle_round_trip(protocol):
+    return lambda value: pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.mark.parametrize("value, bad", [(_PATH, _BAD_PATH), (_PREDICTION, _BAD_PREDICTION)],
+                         ids=["path", "prediction"])
+@pytest.mark.parametrize("round_trip", [
+    *(pytest.param(_pickle_round_trip(protocol), id=f"pickle-{protocol}")
+      for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)),
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+])
+def test_result_types_round_trip_through_their_check(value, bad, round_trip):
+    again = round_trip(value)
+    assert type(again) is type(value)
+    assert again == value
+    with pytest.raises(ValueError):
+        round_trip(bad)
+
+
+def test_prediction_replace_and_make_skip_the_check():
+    # documented on Prediction: only calling the class checks src != dst
+    assert _PREDICTION._replace(dst="A1") == _BAD_PREDICTION
+    assert type(_BAD_PREDICTION) is Prediction

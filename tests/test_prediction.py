@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from attackcf import model
+from attackcf import model, prediction
 from attackcf.bench import SynthSpec, generate
 from attackcf.discovery import DiscoveryResult, discover
 from attackcf.model import (
@@ -14,6 +14,7 @@ from attackcf.model import (
     AttackerProfile,
     Classification,
     DiscoveryConfig,
+    Prediction,
     PredictionConfig,
     VulnType,
     VulnerabilityInstance,
@@ -312,6 +313,60 @@ def _scale_graph(seed):
     return graph, sims
 
 
+def _tier_grid(x1, agree_first):
+    """One asset pair per (co_rated, types agree) for co_rated 1 to x1 + 1,
+    each pair with CVEs of its own, and the paths that promote or leave
+    each direction.  agree_first gives each count's agreeing pair the lower
+    ids, so it reaches predict before the disagreeing one."""
+    assets, vulns, ends = [], [], []
+    for n in range(1, x1 + 2):
+        for agree in (True, False):
+            rank = 0 if agree == agree_first else 1
+            a, b = f"N{n}-{rank}a", f"N{n}-{rank}b"
+            assets += [Asset(a, a, AssetKind.HARDWARE), Asset(b, b, AssetKind.HARDWARE)]
+            for j in range(n):
+                cve, score = f"C{n}-{rank}-{j}", float((n + 3 * j) % 11)
+                vulns += [
+                    VulnerabilityInstance(cve, a, score, "CWE-1", VulnType.XSS, 1, 1),
+                    VulnerabilityInstance(cve, b, 10.0 - score, "CWE-1" if agree else "CWE-2",
+                                          VulnType.XSS, 1, 1),
+                ]
+            # promote the disagreeing pair one way; the agreeing pair of an
+            # odd count stays off every path, so very high drops to high
+            if not agree:
+                ends.append((a, b))
+            elif n % 2 == 0:
+                ends.append((b, a))
+    paths = tuple(map(AttackPath, ends))
+    result = DiscoveryResult(paths=paths,
+                             affected_assets=frozenset(n for p in paths for n in p.nodes))
+    return AssetGraph(assets, vulns), result
+
+
+class TestPredictTierLookup:
+    """predict classifies each distinct (co_rated, types agree) once; every
+    pair must still get the tiers of its own input."""
+
+    # the thresholds of the benchmark's predict-1800 what-if sweep
+    @pytest.mark.parametrize("thresholds", [(4, 2, 1, 0), (3, 2, 1, 0), (5, 3, 2, 1)])
+    @pytest.mark.parametrize("agree_first", [True, False])
+    def test_matches_per_pair_reference(self, thresholds, agree_first, monkeypatch):
+        config = PredictionConfig(*thresholds)
+        graph, result = _tier_grid(config.x1, agree_first)
+        _, expected = per_pair_reference(graph, result, config)
+        classified = []
+        monkeypatch.setattr(prediction, "classify_pair",
+                            lambda *args: classified.append(args[:2]) or classify_pair(*args))
+
+        report = predict(graph, result, config)
+        assert report.predictions == tuple(expected)
+        assert all(type(p) is Prediction and p == Prediction(*p) for p in report.predictions)
+        assert sorted(classified) == sorted(
+            (n, agree) for n in range(1, config.x1 + 2) for agree in (False, True))
+        # low needs co_rated < x3, which x3 = 1 leaves to pairs sharing no CVE
+        assert len({p.level for p in report.predictions}) == (5 if config.x3 > 1 else 4)
+
+
 class TestPredictAtScale:
     """predict against the per-pair reference, in exact report order."""
 
@@ -340,6 +395,8 @@ class TestPredictAtScale:
         _, expected = per_pair_reference(graph, result, config)
         report = predict(graph, result, config)
         assert report.predictions == tuple(expected)
+        # predict builds its predictions past Prediction's check
+        assert all(type(p) is Prediction and p == Prediction(*p) for p in report.predictions)
         assert format_prediction_report(report) == format_prediction_report(
             PredictionReport(tuple(expected), config))
 
