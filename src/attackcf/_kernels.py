@@ -3,10 +3,13 @@
 succ[i] lists the node indices that node i has an edge to, ascending
 (see attackcf.model.Adjacency; pass its pred to walk the edges backwards).
 The two kernels are a depth-bounded multi-source BFS and a simple-path DFS
-from a sequence of sources towards the nodes at distance 0.
+from a sequence of sources towards the nodes at distance 0; the DFS emits
+AttackPath records without running their check, which its paths always meet.
 """
 
 from __future__ import annotations
+
+from attackcf.model import AttackPath
 
 
 def bfs_lengths(succ, sources, max_depth: int) -> list[int]:
@@ -32,9 +35,9 @@ def bfs_lengths(succ, sources, max_depth: int) -> list[int]:
     return dist
 
 
-def simple_paths(succ, ids, sources, to_target, max_edges: int) -> list[tuple[str, ...]]:
+def simple_paths(succ, ids, sources, to_target, max_edges: int) -> list[AttackPath]:
     """All simple paths of up to max_edges edges from each of sources in turn
-    to any target, as tuples of ids (ids[i] names node i).
+    to any target, as AttackPaths of ids (ids[i] names node i).
 
     to_target[w] is the edge count from w to the nearest target, -1 when
     none is within max_edges (bfs_lengths over the predecessor lists from
@@ -45,7 +48,7 @@ def simple_paths(succ, ids, sources, to_target, max_edges: int) -> list[tuple[st
     cannot reach a target in time.  Because succ rows ascend, each source's
     paths come out in lexicographic node-sequence order.
     """
-    found: list[tuple[str, ...]] = []
+    found: list[AttackPath] = []
     on_path = [False] * len(succ)  # every source's walk leaves it all False
     for src in sources:
         on_path[src] = True
@@ -61,7 +64,7 @@ def simple_paths(succ, ids, sources, to_target, max_edges: int) -> list[tuple[st
                     continue
                 dw = to_target[w]
                 if dw == 0:
-                    found.append((*names, ids[w]))
+                    found.append(tuple.__new__(AttackPath, (*names, ids[w])))
                 if room > 0 and 0 <= dw <= room:
                     on_path[w] = True
                     path.append(w)

@@ -76,12 +76,14 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n_hardware < 1 or self.n_software < 1:
-            raise ValueError("n_hardware and n_software must be positive")
-        if not 0.0 < self.edge_density <= 1.0:
+        _check_positive_int("n_hardware", self.n_hardware)
+        _check_positive_int("n_software", self.n_software)
+        # bool is an int subclass: True would pass as the density 1.0
+        if isinstance(self.edge_density, bool) or not 0.0 < self.edge_density <= 1.0:
             raise ValueError(f"edge_density must be in (0, 1], got {self.edge_density}")
-        if self.vuln_per_asset < 1:
-            raise ValueError("vuln_per_asset must be positive")
+        _check_positive_int("vuln_per_asset", self.vuln_per_asset)
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 

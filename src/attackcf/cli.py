@@ -112,7 +112,8 @@ def _cmd_predict(args) -> int:
 
 def _load_matrix(path):
     cells = []
-    for line_no, (capability, prop_len, n_entry, n_target) in _rows(path, 4, "matrix"):
+    rows = _rows(path, ("capability", "propagation_length", "n_entry", "n_target"), "matrix")
+    for line_no, (capability, prop_len, n_entry, n_target) in rows:
         try:
             prop_len, n_entry, n_target = int(prop_len), int(n_entry), int(n_target)
         except ValueError:

@@ -10,14 +10,15 @@ ascending order, enumerates the simple paths to every target at once: it
 records a path whenever it steps onto a target, keeps going past it, and
 never extends a partial path that could not reach a target within the
 propagation length (distance-bounded hop-constrained enumeration, as in
-BC-DFS, Peng et al., PVLDB 2019).  enumerate_simple_paths runs the same
-search from one entry to one target.
+BC-DFS, Peng et al., PVLDB 2019).  The kernel emits AttackPath records without
+running their check, which a simple path of one edge or more always meets.
+enumerate_simple_paths runs the same search from one entry to one target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
 
 from attackcf import _kernels
 from attackcf.model import (
@@ -32,15 +33,19 @@ from attackcf.model import (
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Discovered paths and the assets they touch.
+    """Discovered paths, and the assets they touch derived from them.
 
     no_eligible_entries is set when every configured entry point failed the
     attacker/vulnerability-type guard; an empty result is data, not an error.
     """
 
     paths: tuple[AttackPath, ...]
-    affected_assets: frozenset[str]
     no_eligible_entries: bool = False
+
+    @cached_property
+    def affected_assets(self) -> frozenset[str]:
+        """Every asset on at least one of the paths."""
+        return frozenset().union(*self.paths)
 
 
 def _require_asset(graph: AssetGraph, asset_id: str) -> None:
@@ -72,11 +77,8 @@ def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[AttackPat
     adj = graph.adjacency
     to_target = _kernels.bfs_lengths(adj.pred, [adj.index[t] for t in targets], max_len)
     # sources ascend and indices sort like ids, so the paths come out sorted
-    found = _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
-                                  to_target, max_len)
-    # the kernel emits only simple paths of at least one edge: AttackPath's
-    # check could not fail, so the paths skip it
-    return list(map(tuple.__new__, repeat(AttackPath), found))
+    return _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
+                                 to_target, max_len)
 
 
 def enumerate_simple_paths(
@@ -116,14 +118,7 @@ def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
         if entry_eligible(e, graph, config.attacker, config.allowed_types)
     ]
     if not eligible:
-        return DiscoveryResult(
-            paths=(),
-            affected_assets=frozenset(),
-            no_eligible_entries=True,
-        )
+        return DiscoveryResult(paths=(), no_eligible_entries=True)
 
     found = _search(graph, eligible, targets, config.propagation_length)
-    return DiscoveryResult(
-        paths=tuple(found),
-        affected_assets=frozenset().union(*found),
-    )
+    return DiscoveryResult(paths=tuple(found))

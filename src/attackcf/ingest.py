@@ -1,6 +1,7 @@
 """File ingestion and serialization for asset models and run configuration.
 
-Formats are comma-separated UTF-8 text with a header line:
+Formats are comma-separated UTF-8 text whose first line is this header
+(a leading byte-order mark ignored; an empty file has no records):
 
     assets.csv  id,name,kind,host
     vulns.csv   cve_id,asset_id,score,cwe_id,vuln_type,required_location,required_capability
@@ -84,6 +85,13 @@ _ACCESS_VECTOR = {"L": 1, "A": 2, "N": 3}
 _ACCESS_COMPLEXITY = {"L": 1, "M": 2, "H": 3}
 
 
+#: the header line of each CSV format: the loaders require it, the savers write it
+_ASSET_COLUMNS = ("id", "name", "kind", "host")
+_VULN_COLUMNS = ("cve_id", "asset_id", "score", "cwe_id", "vuln_type",
+                 "required_location", "required_capability")
+_EDGE_COLUMNS = ("src", "dst")
+
+
 class IngestError(ValueError):
     """A file could be read but its content is invalid."""
 
@@ -92,13 +100,20 @@ class ConfigError(IngestError):
     """The configuration file is invalid."""
 
 
-def _rows(path: Path, n_fields: int, what: str):
+def _rows(path: Path, columns: tuple[str, ...], what: str):
     """Yield (line_no, fields) for each data row, the fields an iterator of
-    stripped strings; the header line is ignored."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    stripped strings.  The first line must be the header naming columns."""
+    n_fields = len(columns)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if line_no == 1 or not row:
+        header = next(reader, None)
+        if header is not None and tuple(map(str.strip, header)) != columns:
+            raise IngestError(
+                f"{path}:1: expected header {','.join(columns)!r}, "
+                f"got {','.join(map(str.strip, header))!r}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
                 continue
             if len(row) != n_fields:
                 raise IngestError(
@@ -117,7 +132,7 @@ def load_assets(path) -> AbstractSet[Asset]:
     # record -> line, for the host check once every id is known
     assets: dict[Asset, int] = {}
     known: dict[str, Asset] = {}
-    for line_no, (aid, name, kind, host) in _rows(path, 4, "asset"):
+    for line_no, (aid, name, kind, host) in _rows(path, _ASSET_COLUMNS, "asset"):
         if not aid:
             raise IngestError(f"{path}:{line_no}: empty asset id")
         if _UNSAFE_ID.search(aid):
@@ -183,7 +198,7 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
     # record -> line (the last of exact repeats), for the checks once every row parses
     vulns: dict[VulnerabilityInstance, int] = {}
     for line_no, (cve, aid, score_s, cwe, vtype, loc_s, cap_s) in _rows(
-        path, 7, "vulnerability"
+        path, _VULN_COLUMNS, "vulnerability"
     ):
         try:
             score = float(score_s)
@@ -211,7 +226,7 @@ def load_edges(path, assets) -> AbstractSet[tuple[str, str]]:
     path = Path(path)
     # edge -> line, as in load_vulnerabilities
     edges: dict[tuple[str, str], int] = {}
-    for line_no, (src, dst) in _rows(path, 2, "edge"):
+    for line_no, (src, dst) in _rows(path, _EDGE_COLUMNS, "edge"):
         edges[src, dst] = line_no
     known = {a.id: a for a in assets}
     for e, message in _edge_violations(edges, known):
@@ -333,7 +348,7 @@ def load_bundle(assets_path, vulns_path, edges_path, config_path) -> ModelBundle
     return ModelBundle(graph=graph, discovery=discovery, prediction=prediction)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _write_csv(path, header: tuple[str, ...], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         # the writer quotes only the characters of its line terminator, but
@@ -348,7 +363,7 @@ def save_assets(path, assets) -> None:
     ordered = sorted(assets, key=Asset._sort_key)
     _write_csv(
         path,
-        ["id", "name", "kind", "host"],
+        _ASSET_COLUMNS,
         [[a.id, a.name, a.kind.value, a.host or ""] for a in ordered],
     )
 
@@ -357,8 +372,7 @@ def save_vulnerabilities(path, vulns) -> None:
     ordered = sorted(vulns, key=VulnerabilityInstance._sort_key)
     _write_csv(
         path,
-        ["cve_id", "asset_id", "score", "cwe_id", "vuln_type",
-         "required_location", "required_capability"],
+        _VULN_COLUMNS,
         [
             [v.cve_id, v.asset, repr(v.score), v.cwe_id or "", v.vuln_type.value,
              v.required_location, v.required_capability]
@@ -368,4 +382,4 @@ def save_vulnerabilities(path, vulns) -> None:
 
 
 def save_edges(path, edges) -> None:
-    _write_csv(path, ["src", "dst"], [list(e) for e in sorted(edges)])
+    _write_csv(path, _EDGE_COLUMNS, [list(e) for e in sorted(edges)])

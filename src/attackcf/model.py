@@ -12,9 +12,9 @@ validate_model and the ingest loaders both run; conflicting records of one
 (cve_id, asset) are found by validate_model alone.
 The result records are tuples too: an AttackPath is the tuple of its node
 ids and a Prediction a NamedTuple.  Calling either class checks its one
-rule (a simple path of two nodes or more; src != dst); discover and predict,
-whose output meets the rule by construction, build them with tuple.__new__
-and skip the check.
+rule (a simple path of two nodes or more; src != dst); the discovery kernel
+and predict, whose output meets the rule by construction, build them with
+tuple.__new__ and skip the check.
 Configuration types, by contrast, reject invalid values immediately:
 a bad config is an operator error, not a data-quality finding.
 """
@@ -259,7 +259,7 @@ class AttackPath(tuple):
 
     The path is the tuple of its node ids, and nodes returns the path
     itself: it equals, hashes and sorts like that plain tuple.  Calling the
-    class checks the path; discovery wraps the simple paths its search
+    class checks the path; the discovery kernel builds the simple paths it
     emits with tuple.__new__ and skips the check.
     """
 

@@ -115,10 +115,7 @@ def random_prediction_setup(rng: random.Random):
         (a, b) for a in assets for b in assets if a != b and rng.random() < 0.25
     })
     paths = tuple(AttackPath(p) for p in pairs)
-    result = DiscoveryResult(
-        paths=paths,
-        affected_assets=frozenset(n for p in paths for n in p.nodes),
-    )
+    result = DiscoveryResult(paths=paths)
     return graph, result, predict(graph, result, PredictionConfig())
 
 

@@ -30,6 +30,13 @@ class TestSynthSpec:
             SynthSpec(1, 1, 1.5, 1, 1)
         with pytest.raises(ValueError):
             SynthSpec(1, 1, 0.5, 0, 1)
+        # counts and seeds that are not ints: numpy failed on 2.5, and True
+        # built one hardware asset
+        for args in [(2.5, 3, 0.5, 1, 0), (True, 3, 0.5, 1, 0), (1, 3.0, 0.5, 1, 0),
+                     (1, 1, 0.5, 2.0, 0), (1, 1, 0.5, True, 0), (1, 1, True, 1, 0),
+                     (1, 1, 0.5, 1, True), (1, 1, 0.5, 1, 1.0), (1, 1, 0.5, 1, "1")]:
+            with pytest.raises(ValueError):
+                SynthSpec(*args)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_64_bits(self, seed):

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.metadata
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -116,6 +117,22 @@ class TestDiscoverCommand:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: {assets}:5: asset S9 hosted on missing asset GHOST\n")
+
+    def test_headerless_edges_file_is_data_error(self, tmp_path, capsys):
+        # read as data, the missing header would drop the edge A1 -> A2
+        edges = tmp_path / "edges.csv"
+        edges.write_text("A1,A2\nA2,A3\n")
+        rc = main([
+            "discover",
+            "--assets", str(DEMO_DIR / "assets.csv"),
+            "--vulns", str(DEMO_DIR / "vulns.csv"),
+            "--edges", str(edges),
+            "--config", str(DEMO_DIR / "config.txt"),
+            "--out", str(tmp_path / "o.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {edges}:1: expected header 'src,dst', got 'A1,A2'\n")
 
 
 class TestPredictCommand:
@@ -241,6 +258,16 @@ class TestBenchCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {matrix}{message}\n"
 
+    def test_headerless_matrix_file_is_data_error(self, tmp_path, capsys):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("High,2,3,3\nHigh,4,3,3\n")
+        rc = main(["bench", *self.BENCH_FLAGS, "--matrix", str(matrix),
+                   "--out", str(tmp_path / "bench.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {matrix}:1: expected header "
+            "'capability,propagation_length,n_entry,n_target', got 'High,2,3,3'\n")
+
     def test_backend_column_reads_python(self, tmp_path):
         out = tmp_path / "bench.csv"
         matrix = tmp_path / "matrix.csv"
@@ -365,3 +392,12 @@ def test_declared_entry_point_runs(monkeypatch, capsys):
         entry()
     assert exc.value.code == 0
     assert capsys.readouterr().out == f"attackcf {__version__}\n"
+
+
+def test_test_extra_declares_every_test_dependency():
+    # the suite imports hypothesis as well as pytest
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    extra = tomllib.loads(pyproject.read_text())["project"]["optional-dependencies"]["test"]
+    assert {re.match(r"[A-Za-z0-9._-]+", req).group().lower() for req in extra} == {
+        "pytest", "hypothesis"}

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from attackcf import _kernels
 from attackcf.bench import SynthSpec, generate
-from attackcf.discovery import discover, entry_eligible, enumerate_simple_paths
+from attackcf.discovery import DiscoveryResult, discover, entry_eligible, enumerate_simple_paths
 from attackcf.model import (
     Asset,
     AssetGraph,
@@ -354,3 +355,16 @@ def test_unchecked_paths_are_the_checked_ones(seed):
     for p in found:
         assert type(p) is AttackPath
         assert p == AttackPath(p.nodes)
+
+
+def test_affected_assets_derive_from_paths():
+    paths = (AttackPath(("A1", "A2")), AttackPath(("A2", "A3", "A4")), AttackPath(("A5", "A1")))
+    result = DiscoveryResult(paths=paths)
+    assert result.affected_assets == frozenset({"A1", "A2", "A3", "A4", "A5"})
+    assert type(result.affected_assets) is frozenset
+    assert DiscoveryResult(paths=()).affected_assets == frozenset()
+    assert DiscoveryResult(paths=(), no_eligible_entries=True).affected_assets == frozenset()
+    # the affected set is not a field, so no result can disagree with its paths
+    assert [f.name for f in dataclasses.fields(DiscoveryResult)] == ["paths", "no_eligible_entries"]
+    with pytest.raises(TypeError):
+        DiscoveryResult(paths=paths, affected_assets=frozenset({"A1"}))

@@ -294,6 +294,51 @@ class TestLoadEdges:
             load_edges(path, assets)
 
 
+class TestHeaderLine:
+    """Each CSV file starts with its header; a file without one would lose its first record."""
+
+    def test_headerless_assets_file_rejected(self, tmp_path):
+        path = _write(tmp_path, "a.csv", "A1,Desktop PC,hardware,\n")
+        with pytest.raises(IngestError) as exc:
+            load_assets(path)
+        assert str(exc.value) == (
+            f"{path}:1: expected header 'id,name,kind,host', got 'A1,Desktop PC,hardware,'")
+
+    def test_headerless_vulnerabilities_file_rejected(self, tmp_path, base_assets):
+        path = _write(tmp_path, "v.csv", "CVE-1,A1,5,CWE-1,XSS,1,1\n")
+        with pytest.raises(IngestError) as exc:
+            load_vulnerabilities(path, base_assets)
+        assert str(exc.value) == (
+            f"{path}:1: expected header {VULN_HEADER.strip()!r}, got 'CVE-1,A1,5,CWE-1,XSS,1,1'")
+
+    def test_headerless_edges_file_rejected(self, tmp_path):
+        assets = {Asset(x, x, AssetKind.HARDWARE) for x in ("A1", "A2", "A3")}
+        path = _write(tmp_path, "e.csv", "A1,A2\nA2,A3\n")
+        with pytest.raises(IngestError) as exc:
+            load_edges(path, assets)
+        assert str(exc.value) == f"{path}:1: expected header 'src,dst', got 'A1,A2'"
+
+    def test_byte_order_mark_before_header_ignored(self, tmp_path):
+        assets = load_assets(
+            _write(tmp_path, "a.csv", "\ufeff" + ASSET_HEADER + "A1,pc,hardware,\n"))
+        assert assets == {Asset("A1", "pc", AssetKind.HARDWARE)}
+        vulns = load_vulnerabilities(
+            _write(tmp_path, "v.csv", "\ufeff" + VULN_HEADER + "CVE-1,A1,5,,XSS,1,1\n"), assets)
+        assert [v.cve_id for v in vulns] == ["CVE-1"]
+        two = assets | {Asset("A2", "pc", AssetKind.HARDWARE)}
+        edges = load_edges(_write(tmp_path, "e.csv", "\ufeffsrc,dst\nA1,A2\n"), two)
+        assert edges == {("A1", "A2")}
+
+    def test_header_fields_are_stripped(self, tmp_path):
+        assets = {Asset(x, x, AssetKind.HARDWARE) for x in ("A1", "A2")}
+        path = _write(tmp_path, "e.csv", " src , dst \nA1,A2\n")
+        assert load_edges(path, assets) == {("A1", "A2")}
+
+    def test_file_without_lines_has_no_records(self, tmp_path):
+        assert load_assets(_write(tmp_path, "a.csv", "")) == set()
+        assert load_edges(_write(tmp_path, "e.csv", ""), set()) == set()
+
+
 HW, SW = AssetKind.HARDWARE, AssetKind.SOFTWARE
 PC = Asset("A1", "pc", HW)
 

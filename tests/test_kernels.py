@@ -3,6 +3,7 @@ import random
 import pytest
 
 from attackcf import _kernels
+from attackcf.model import AttackPath
 
 import oracles
 
@@ -20,7 +21,7 @@ def _random_edges(rng, n, p):
 
 
 def _dfs(succ, sources, to_target, max_edges):
-    # node i is named i, so paths come back as tuples of node indices
+    # node i is named i, so paths come back as AttackPaths of node indices
     return _kernels.simple_paths(succ, range(len(succ)), sources, to_target, max_edges)
 
 
@@ -49,7 +50,10 @@ def test_kernels_match_oracles(seed):
         )
     ]
     to_target = _kernels.bfs_lengths(pred, targets, max_edges)
-    assert _dfs(succ, sources, to_target, max_edges) == expected
+    got = _dfs(succ, sources, to_target, max_edges)
+    assert got == expected
+    # the kernel emits the records discovery returns, not plain tuples
+    assert all(type(p) is AttackPath for p in got)
 
 
 def test_dfs_emits_sorted_paths():

@@ -49,7 +49,7 @@ def _graph_from_cells(cells, cwe_of=None):
 
 
 def _empty_result() -> DiscoveryResult:
-    return DiscoveryResult(paths=(), affected_assets=frozenset())
+    return DiscoveryResult(paths=())
 
 
 def _package_same_type(a, b, graph):
@@ -163,7 +163,7 @@ class TestRearrange:
         g = _graph_from_cells({("A1", "C1"): 5.0, ("A2", "C1"): 5.0,
                                ("A1", "C2"): 5.0, ("A3", "C2"): 5.0})
         path = AttackPath(("A1", "A2", "A3"))
-        result = DiscoveryResult(paths=(path,), affected_assets=frozenset(path.nodes))
+        result = DiscoveryResult(paths=(path,))
         got = {(p.src, p.dst): p.level for p in predict(g, result, DEFAULTS).predictions}
         assert got == {
             ("A1", "A3"): Classification.VERY_HIGH,
@@ -242,10 +242,7 @@ class TestPredict:
                 if a != b and rng.random() < 0.3:
                     path_pairs.add((a, b))
         paths = tuple(AttackPath((a, b)) for a, b in sorted(path_pairs))
-        result = DiscoveryResult(
-            paths=paths,
-            affected_assets=frozenset(n for p in paths for n in p.nodes),
-        )
+        result = DiscoveryResult(paths=paths)
 
         config = PredictionConfig(3, 2, 1, 0)
         report = predict(g, result, config)
@@ -338,8 +335,7 @@ def _tier_grid(x1, agree_first):
             elif n % 2 == 0:
                 ends.append((b, a))
     paths = tuple(map(AttackPath, ends))
-    result = DiscoveryResult(paths=paths,
-                             affected_assets=frozenset(n for p in paths for n in p.nodes))
+    result = DiscoveryResult(paths=paths)
     return AssetGraph(assets, vulns), result
 
 
@@ -389,8 +385,7 @@ class TestPredictAtScale:
             AttackPath((src, rng.choice([i for i in ids if i not in (src, dst)]), dst)
                        if rng.random() < 0.5 else (src, dst))
             for src, dst in ends)
-        result = DiscoveryResult(paths=paths,
-                                 affected_assets=frozenset(n for p in paths for n in p.nodes))
+        result = DiscoveryResult(paths=paths)
 
         _, expected = per_pair_reference(graph, result, config)
         report = predict(graph, result, config)

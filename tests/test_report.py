@@ -162,10 +162,7 @@ def test_dot_highlight_only_marks_path_edges():
         [Asset(x, x, AssetKind.HARDWARE) for x in ("A", "B", "C")],
         edges={("A", "B"), ("B", "C"), ("A", "C")},
     )
-    result = DiscoveryResult(
-        paths=(AttackPath(("A", "B")),),
-        affected_assets=frozenset({"A", "B"}),
-    )
+    result = DiscoveryResult(paths=(AttackPath(("A", "B")),))
     text = render_dot(graph, result.paths)
     assert '"A" -> "B" [color="red" penwidth=2.0];' in text
     assert '"B" -> "C";' in text

@@ -217,7 +217,7 @@ def _random_case(rng: random.Random):
     paths = tuple(
         AttackPath((a, b)) for a in assets for b in assets if a != b and rng.random() < 0.3
     )
-    result = DiscoveryResult(paths=paths, affected_assets=frozenset(assets))
+    result = DiscoveryResult(paths=paths)
     return graph, result
 
 
@@ -253,7 +253,7 @@ class TestSharedCvePass:
         assert oracles.same_type("X", "Y", g)  # only C2's last record agrees with Y
         value, degenerate = pcc([(8.0, 5.0), (4.0, 1.0)])
         assert similarity_matrix(g) == [PairSimilarity("X", "Y", value, 2, degenerate)]
-        empty = DiscoveryResult(paths=(), affected_assets=frozenset())
+        empty = DiscoveryResult(paths=())
         report = predict(g, empty, PredictionConfig(3, 2, 1, 0))
         # 2 shared CVEs with agreeing types: HIGH, not the MEDIUM of disagreement
         assert [(p.level, p.co_rated, p.similarity) for p in report.predictions] == [
