@@ -3,15 +3,18 @@
 An entry point is eligible when the configured attacker meets the location
 and capability requirements of at least one of its vulnerabilities of an
 allowed type.  One breadth-first search over the predecessor lists from the
-whole target set, stopped at the propagation length, gives every asset its
-distance to the nearest target; the targets are exactly the assets at
-distance 0.  Then one depth-first pass over the eligible entries, in
-ascending order, enumerates the simple paths to every target at once: it
-records a path whenever it steps onto a target, keeps going past it, and
-never extends a partial path that could not reach a target within the
-propagation length (distance-bounded hop-constrained enumeration, as in
-BC-DFS, Peng et al., PVLDB 2019).  The kernel emits AttackPath records without
-running their check, which a simple path of one edge or more always meets.
+whole target set, stopped one level short of the propagation length (the
+search below reads a distance only at least one edge into a path), gives
+every asset near enough its distance to the nearest target; the targets
+are exactly the assets at distance 0.  Then one depth-first pass over the
+eligible entries, in ascending order, enumerates the simple paths to every
+target at once: it records a path whenever it steps onto a target, keeps
+going past it, and never extends a partial path that could not reach a
+target within the propagation length (distance-bounded hop-constrained
+enumeration, as in BC-DFS, Peng et al., PVLDB 2019).  It marks its current
+path inside the distance list, so a query allocates one list of graph size.
+The kernel emits AttackPath records without running their check, which a
+simple path of one edge or more always meets.
 enumerate_simple_paths runs the same search from one entry to one target.
 """
 
@@ -73,9 +76,15 @@ def entry_eligible(
 
 def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[AttackPath]:
     """Every simple path of at most max_len edges from sources (ascending
-    asset ids) to targets, sorted by node-id sequence."""
+    asset ids) to targets, sorted by node-id sequence.
+
+    The DFS reads an asset's distance to the targets only after stepping
+    onto it, at least one edge into the path, so a distance of max_len is
+    never used and the BFS stops at max_len - 1.  simple_paths marks its
+    path inside to_target while it runs and restores it.
+    """
     adj = graph.adjacency
-    to_target = _kernels.bfs_lengths(adj.pred, [adj.index[t] for t in targets], max_len)
+    to_target = _kernels.bfs_lengths(adj.pred, [adj.index[t] for t in targets], max_len - 1)
     # sources ascend and indices sort like ids, so the paths come out sorted
     return _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
                                  to_target, max_len)

@@ -190,6 +190,21 @@ class TestDiscover:
             assert name == want_name
             assert rows is want_rows
 
+    def test_target_bfs_stops_one_level_short(self, office, monkeypatch):
+        # the DFS reads a distance only one edge or more into a path, so a
+        # distance of the full propagation length is never used
+        bfs = _kernels.bfs_lengths
+        depths = []
+
+        def recording(rows, sources, max_depth):
+            depths.append(max_depth)
+            return bfs(rows, sources, max_depth)
+
+        monkeypatch.setattr(_kernels, "bfs_lengths", recording)
+        discover(office, office_config(propagation_length=3))
+        enumerate_simple_paths(office, "A1", "A3", 2)
+        assert depths == [2, 1]
+
     def test_path_through_a_target_reaches_the_next(self):
         g = graph_with_uniform_vulns(["E", "T1", "T2"], {("E", "T1"), ("T1", "T2")})
         config = DiscoveryConfig({"E"}, {"T1", "T2"}, AttackerProfile(3, 3), 2)

@@ -49,9 +49,14 @@ def test_kernels_match_oracles(seed):
             for p in oracles.simple_paths_recursive(adj, s, t, max_edges)
         )
     ]
-    to_target = _kernels.bfs_lengths(pred, targets, max_edges)
-    got = _dfs(succ, sources, to_target, max_edges)
-    assert got == expected
+    # the DFS reads no distance of max_edges, so a BFS one level short gives
+    # the same paths; either way it hands back the distances it marked
+    for depth in (max_edges, max_edges - 1):
+        to_target = _kernels.bfs_lengths(pred, targets, depth)
+        before = list(to_target)
+        got = _dfs(succ, sources, to_target, max_edges)
+        assert got == expected
+        assert to_target == before
     # the kernel emits the records discovery returns, not plain tuples
     assert all(type(p) is AttackPath for p in got)
 
@@ -81,6 +86,16 @@ def test_entry_that_is_a_target_never_ends_a_path():
     # 0 <-> 1 <-> 2, every node a target: no path may return to the entry
     edges = {(0, 1), (1, 0), (1, 2), (2, 1)}
     assert _dfs(_succ(3, edges), [0], [0, 0, 0], 4) == [(0, 1), (0, 1, 2)]
+
+
+def test_dfs_restores_the_distances_it_marks():
+    # cycle 0 -> 1 -> 2 -> 0 with targets 0 and 2, and 4 -> 3 out of reach:
+    # source 0 is a target, source 4 has no target within the bound
+    edges = {(0, 1), (1, 2), (2, 0), (4, 3)}
+    to_target = _kernels.bfs_lengths(_pred(5, edges), [0, 2], 2)
+    assert to_target == [0, 1, 0, -1, -1]
+    assert _dfs(_succ(5, edges), [0, 1, 4], to_target, 3) == [(0, 1, 2), (1, 2), (1, 2, 0)]
+    assert to_target == [0, 1, 0, -1, -1]
 
 
 def test_dfs_never_extends_a_node_with_negative_bound():
