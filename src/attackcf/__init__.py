@@ -39,13 +39,10 @@ from attackcf.discovery import (
     DiscoveryResult,
     discover,
     entry_eligible,
-    enumerate_simple_paths,
 )
 from attackcf.similarity import (
-    PairSimilarity,
     UndefinedSimilarityError,
     pcc,
-    similarity_matrix,
 )
 from attackcf.prediction import (
     PredictionReport,
@@ -69,7 +66,6 @@ __all__ = [
     "DiscoveryResult",
     "IngestError",
     "ModelBundle",
-    "PairSimilarity",
     "Prediction",
     "PredictionConfig",
     "PredictionReport",
@@ -80,7 +76,6 @@ __all__ = [
     "classify_pair",
     "discover",
     "entry_eligible",
-    "enumerate_simple_paths",
     "generate",
     "load_assets",
     "load_bundle",
@@ -94,6 +89,5 @@ __all__ = [
     "save_assets",
     "save_edges",
     "save_vulnerabilities",
-    "similarity_matrix",
     "validate_model",
 ]

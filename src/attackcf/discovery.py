@@ -14,8 +14,8 @@ target within the propagation length (distance-bounded hop-constrained
 enumeration, as in BC-DFS, Peng et al., PVLDB 2019).  It marks its current
 path inside the distance list, so a query allocates one list of graph size.
 The kernel emits AttackPath records without running their check, which a
-simple path of one edge or more always meets.
-enumerate_simple_paths runs the same search from one entry to one target.
+simple path of one edge or more always meets.  The paths between one
+entry and one target are discover's result for that pair alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from attackcf.model import (
     AttackerProfile,
     DiscoveryConfig,
     VulnType,
-    _check_positive_int,
 )
 
 
@@ -51,11 +50,6 @@ class DiscoveryResult:
         return frozenset().union(*self.paths)
 
 
-def _require_asset(graph: AssetGraph, asset_id: str) -> None:
-    if asset_id not in graph.asset_by_id:
-        raise KeyError(f"unknown asset id {asset_id!r}")
-
-
 def entry_eligible(
     entry: str,
     graph: AssetGraph,
@@ -63,7 +57,8 @@ def entry_eligible(
     allowed_types: frozenset[VulnType],
 ) -> bool:
     """True when the attacker can exploit at least one allowed-type vulnerability on entry."""
-    _require_asset(graph, entry)
+    if entry not in graph.asset_by_id:
+        raise KeyError(f"unknown asset id {entry!r}")
     for v in graph.vulns_by_asset.get(entry, ()):
         if (
             attacker.location >= v.required_location
@@ -74,46 +69,13 @@ def entry_eligible(
     return False
 
 
-def _search(graph: AssetGraph, sources, targets, max_len: int) -> list[AttackPath]:
-    """Every simple path of at most max_len edges from sources (ascending
-    asset ids) to targets, sorted by node-id sequence.
-
-    The DFS reads an asset's distance to the targets only after stepping
-    onto it, at least one edge into the path, so a distance of max_len is
-    never used and the BFS stops at max_len - 1.  simple_paths marks its
-    path inside to_target while it runs and restores it.
-    """
-    adj = graph.adjacency
-    to_target = _kernels.bfs_lengths(adj.pred, [adj.index[t] for t in targets], max_len - 1)
-    # sources ascend and indices sort like ids, so the paths come out sorted
-    return _kernels.simple_paths(adj.succ, adj.ids, [adj.index[s] for s in sources],
-                                 to_target, max_len)
-
-
-def enumerate_simple_paths(
-    graph: AssetGraph,
-    entry: str,
-    target: str,
-    max_len: int,
-) -> list[AttackPath]:
-    """All simple directed paths entry->target with at most max_len edges.
-
-    Output is ordered lexicographically by node-id sequence.
-    """
-    _require_asset(graph, entry)
-    _require_asset(graph, target)
-    if entry == target:
-        raise ValueError(f"entry and target must differ, got {entry!r} for both")
-    _check_positive_int("max_len", max_len)
-    return _search(graph, [entry], [target], max_len)
-
-
 def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
     """Enumerate every bounded attack path from eligible entries to targets.
 
     The graph is assumed structurally valid (see validate_model).
     """
-    index = graph.adjacency.index
+    adj = graph.adjacency
+    index = adj.index
     entries = sorted(config.entry_points & index.keys())
     targets = sorted(config.target_points & index.keys())
     if not entries:
@@ -129,5 +91,11 @@ def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
     if not eligible:
         return DiscoveryResult(paths=(), no_eligible_entries=True)
 
-    found = _search(graph, eligible, targets, config.propagation_length)
+    max_len = config.propagation_length
+    # the DFS reads a distance only after stepping onto an asset, at least
+    # one edge into the path, so a distance of max_len is never used
+    to_target = _kernels.bfs_lengths(adj.pred, [index[t] for t in targets], max_len - 1)
+    # eligible ascends and indices sort like ids, so the paths come out sorted
+    found = _kernels.simple_paths(adj.succ, adj.ids, [index[e] for e in eligible],
+                                  to_target, max_len)
     return DiscoveryResult(paths=tuple(found))

@@ -127,7 +127,7 @@ class AssetGraph:
     input order.  Four lookups are built on first use, once per graph, and
     shared: asset_by_id (validate_model, load_bundle, entry eligibility),
     vulns_by_asset (entry eligibility), adjacency (the discovery BFS and
-    DFS) and shared_cves (similarity_matrix and predict).
+    DFS) and shared_cves (predict).
     """
 
     assets: tuple[Asset, ...]

@@ -16,16 +16,17 @@ Two fallback rules cover inputs the correlation formula cannot grade:
 Both fallbacks are flagged as degenerate in the results.
 
 The CVEs each asset pair shares come from AssetGraph.shared_cves, an
-index built in one pass over the CVEs at most once per graph, so
-similarity_matrix and every predict call on one graph share it.  When one
-asset carries the same CVE twice, the record that sorts last by
-VulnerabilityInstance._sort_key supplies its score and CWE; the others
-are ignored.  validate_model flags such input, so the CLI rejects it.
+index built in one pass over the CVEs at most once per graph, so every
+predict call on one graph shares it.  A pair's similarity, co-rated count
+and degenerate flag are fields of the two Predictions predict builds for
+it.  When one asset carries the same CVE twice, the record that sorts
+last by VulnerabilityInstance._sort_key supplies its score and CWE; the
+others are ignored.  validate_model flags such input, so the CLI rejects
+it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,22 +36,6 @@ from attackcf.model import AssetGraph
 
 class UndefinedSimilarityError(ValueError):
     """Raised when fewer than two co-rated scores are supplied."""
-
-
-@dataclass(frozen=True)
-class PairSimilarity:
-    """Similarity of an unordered asset pair.
-
-    value is in [-1, 1]; co_rated counts the CVEs the pair shares;
-    degenerate marks values assigned by a fallback rule rather than the
-    correlation formula (not the 0.0 placeholder for a single shared CVE).
-    """
-
-    a: str
-    b: str
-    value: float
-    co_rated: int
-    degenerate: bool
 
 
 def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
@@ -95,12 +80,3 @@ def _similarities(graph: AssetGraph) -> Iterator[tuple[str, str, float, int, boo
             value, degenerate = pcc([row[:2] for row in rows])
             yield a, b, value, len(rows), degenerate, any(row[2] for row in rows)
 
-
-def similarity_matrix(graph: AssetGraph) -> list[PairSimilarity]:
-    """Similarity for every unordered asset pair sharing at least one CVE.
-
-    Pairs sharing exactly one CVE have no defined correlation; they are
-    kept with value 0.0 so the shared vulnerability stays visible.
-    Output is sorted by (a, b), with a < b.
-    """
-    return [PairSimilarity(*record[:5]) for record in _similarities(graph)]

@@ -119,8 +119,20 @@ def random_prediction_setup(rng: random.Random):
     return graph, result, predict(graph, result, PredictionConfig())
 
 
+def pair_similarities(graph):
+    """(a, b, value, co_rated, degenerate) for each asset pair sharing a CVE,
+    sorted, with a < b: the fields of predict's a -> b prediction for it."""
+    from attackcf.discovery import DiscoveryResult
+    from attackcf.model import PredictionConfig
+    from attackcf.prediction import predict
+
+    report = predict(graph, DiscoveryResult(()), PredictionConfig())
+    return sorted((p.src, p.dst, p.similarity, p.co_rated, p.degenerate)
+                  for p in report.predictions if p.src < p.dst)
+
+
 def per_pair_reference(graph, result, config):
-    """similarity_matrix(graph) and predict(graph, result, config).predictions,
+    """pair_similarities(graph) and predict(graph, result, config).predictions,
     rebuilt pair by pair: oracles.common_vulnerabilities, pcc,
     oracles.same_type and classify_pair on every asset pair, the
     rearrangement rule written out, then one keyed sort into report order.
@@ -129,7 +141,7 @@ def per_pair_reference(graph, result, config):
     import oracles
     from attackcf.model import Classification, Prediction
     from attackcf.prediction import classify_pair
-    from attackcf.similarity import PairSimilarity, pcc
+    from attackcf.similarity import pcc
 
     ends = {(p.entry, p.target) for p in result.paths}
     ids = sorted(a.id for a in graph.assets)
@@ -143,7 +155,7 @@ def per_pair_reference(graph, result, config):
                 value, degenerate = 0.0, False
             else:
                 value, degenerate = pcc([(sa, sb) for _, sa, sb in shared])
-            sims.append(PairSimilarity(a, b, value, len(shared), degenerate))
+            sims.append((a, b, value, len(shared), degenerate))
             base = classify_pair(len(shared), oracles.same_type(a, b, graph), config)
             for src, dst in ((a, b), (b, a)):
                 if (src, dst) in ends:

@@ -5,7 +5,7 @@ import pytest
 
 from attackcf import _kernels
 from attackcf.bench import SynthSpec, generate
-from attackcf.discovery import DiscoveryResult, discover, entry_eligible, enumerate_simple_paths
+from attackcf.discovery import DiscoveryResult, discover, entry_eligible
 from attackcf.model import (
     Asset,
     AssetGraph,
@@ -27,6 +27,12 @@ def _successor_sets(edges):
     for u, v in edges:
         adj.setdefault(u, set()).add(v)
     return adj
+
+
+def _paths(g, entry, target, max_len):
+    """The paths discover finds from the one entry to the one target."""
+    config = DiscoveryConfig({entry}, {target}, AttackerProfile(3, 3), max_len)
+    return discover(g, config).paths
 
 
 def _single_vuln_graph(vtype, loc, cap, edges=()):
@@ -83,32 +89,34 @@ class TestEntryEligible:
 
 
 class TestEnumerateSimplePaths:
+    """discover from one entry to one target."""
+
     def test_two_hop_path(self, office):
-        paths = enumerate_simple_paths(office, "A1", "A3", 3)
+        paths = _paths(office, "A1", "A3", 3)
         assert [p.nodes for p in paths] == [("A1", "A2", "A3")]
 
     def test_direct_edge(self, office):
-        paths = enumerate_simple_paths(office, "A1", "A2", 1)
+        paths = _paths(office, "A1", "A2", 1)
         assert [p.nodes for p in paths] == [("A1", "A2")]
 
     def test_bound_excludes_distant_target(self, office):
-        assert enumerate_simple_paths(office, "A1", "A3", 1) == []
+        assert _paths(office, "A1", "A3", 1) == ()
 
-    def test_rejects_equal_endpoints(self, office):
-        with pytest.raises(ValueError):
-            enumerate_simple_paths(office, "A1", "A1", 2)
+    def test_equal_endpoints_give_no_path(self, office):
+        # a simple path never returns to its entry, so an entry is no path end
+        assert _paths(office, "A1", "A1", 2) == ()
 
     @pytest.mark.parametrize("max_len", [0, -1, 2.5, True])
     def test_rejects_bad_bound(self, office, max_len):
         # 2.5 would otherwise admit A1->A2->A3, and True would act as 1
-        with pytest.raises(ValueError, match="max_len must be a positive integer"):
-            enumerate_simple_paths(office, "A1", "A3", max_len)
+        with pytest.raises(ValueError, match="propagation_length must be a positive integer"):
+            _paths(office, "A1", "A3", max_len)
 
     def test_complete_digraph_count(self):
         nodes = [f"N{i}" for i in range(5)]
         edges = {(u, v) for u in nodes for v in nodes if u != v}
         g = graph_with_uniform_vulns(nodes, edges)
-        paths = enumerate_simple_paths(g, "N0", "N4", 4)
+        paths = _paths(g, "N0", "N4", 4)
         oracle = oracles.simple_paths_by_permutation(nodes, edges, "N0", "N4", 4)
         assert len(paths) == len(oracle) == 16
         assert {p.nodes for p in paths} == set(oracle)
@@ -118,7 +126,7 @@ class TestEnumerateSimplePaths:
         edges = {("A", "D"), ("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"),
                  ("B", "C")}
         g = graph_with_uniform_vulns(nodes, edges)
-        paths = [p.nodes for p in enumerate_simple_paths(g, "A", "D", 3)]
+        paths = [p.nodes for p in _paths(g, "A", "D", 3)]
         assert paths == sorted(paths)
 
     @pytest.mark.parametrize("seed", range(50))
@@ -129,7 +137,7 @@ class TestEnumerateSimplePaths:
         entry, target = rng.sample(nodes, 2)
         max_len = rng.randint(1, 9)
         adj = _successor_sets(edges)
-        got = [p.nodes for p in enumerate_simple_paths(g, entry, target, max_len)]
+        got = [p.nodes for p in _paths(g, entry, target, max_len)]
         assert got == sorted(oracles.simple_paths_recursive(adj, entry, target, max_len))
 
 
@@ -180,10 +188,10 @@ class TestDiscover:
         monkeypatch.setattr(_kernels, "simple_paths",
                             recording("dfs", _kernels.simple_paths))
         discover(office, office_config(propagation_length=3))
-        enumerate_simple_paths(office, "A1", "A3", 2)
+        _paths(office, "A1", "A3", 2)
         adj = office.adjacency
         # each call: one BFS over the predecessors from the targets, then one
-        # DFS over the successors from every eligible entry (A1 and A2 here)
+        # DFS over the successors from every eligible entry (A1 and A2, then A1)
         expected = [("bfs", adj.pred), ("dfs", adj.succ)] * 2
         assert len(seen) == len(expected)
         for (name, rows), (want_name, want_rows) in zip(seen, expected):
@@ -202,7 +210,7 @@ class TestDiscover:
 
         monkeypatch.setattr(_kernels, "bfs_lengths", recording)
         discover(office, office_config(propagation_length=3))
-        enumerate_simple_paths(office, "A1", "A3", 2)
+        _paths(office, "A1", "A3", 2)
         assert depths == [2, 1]
 
     def test_path_through_a_target_reaches_the_next(self):
@@ -365,7 +373,9 @@ def test_unchecked_paths_are_the_checked_ones(seed):
     found = list(discover(graph, DiscoveryConfig(entries, targets, AttackerProfile(3, 3), 5,
                                                  frozenset(VulnType))).paths)
     for entry in entries:
-        found += enumerate_simple_paths(graph, entry, next(t for t in targets if t != entry), 5)
+        target = next(t for t in targets if t != entry)
+        found += discover(graph, DiscoveryConfig({entry}, {target}, AttackerProfile(3, 3), 5,
+                                                 frozenset(VulnType))).paths
     assert len(found) > 200
     for p in found:
         assert type(p) is AttackPath

@@ -26,10 +26,9 @@ from attackcf.prediction import (
     predict,
 )
 from attackcf.report import format_prediction_report
-from attackcf.similarity import similarity_matrix
 
 import oracles
-from conftest import office_config, per_pair_reference, random_prediction_setup
+from conftest import office_config, pair_similarities, per_pair_reference, random_prediction_setup
 
 DEFAULTS = PredictionConfig()
 
@@ -370,13 +369,13 @@ class TestPredictAtScale:
     def test_matches_per_pair_reference_in_order(self, thresholds):
         config = PredictionConfig(*thresholds)
         graph, sims = _scale_graph(3)
-        assert sum(s.co_rated >= 2 for s in sims) > 500
-        assert similarity_matrix(graph) == sims
+        assert sum(co_rated >= 2 for _, _, _, co_rated, _ in sims) > 500
+        assert pair_similarities(graph) == sims
 
         rng = random.Random(sum(thresholds))
         ids = sorted(a.id for a in graph.assets)
-        very_high = [(s.a, s.b) for s in sims
-                     if s.co_rated >= config.x1 and oracles.same_type(s.a, s.b, graph)]
+        very_high = [(a, b) for a, b, _, co_rated, _ in sims
+                     if co_rated >= config.x1 and oracles.same_type(a, b, graph)]
         # one direction of every other very-high pair, and random other pairs,
         # some through a middle node that the rule must ignore
         ends = [rng.choice((pair, pair[::-1])) for pair in very_high[::2]]
@@ -419,7 +418,7 @@ class TestPredictAtScale:
             return predict(graph, found, config)
 
         # each reference comes from a graph of its own
-        expected_sims = similarity_matrix(fresh())
+        expected_sims = pair_similarities(fresh())
         expected = [analyse(fresh(), *run) for run in runs]
         assert len({r.predictions for r in expected}) == len(runs)
 
@@ -432,7 +431,7 @@ class TestPredictAtScale:
 
         monkeypatch.setattr(model, "groupby", recording)
         graph = fresh()
-        assert similarity_matrix(graph) == expected_sims
+        assert pair_similarities(graph) == expected_sims
         assert [analyse(graph, *run) for run in runs] == expected
         assert len(passes) == 1
         assert passes[0] is graph.vulnerabilities

@@ -14,15 +14,10 @@ from attackcf.model import (
     VulnerabilityInstance,
 )
 from attackcf.prediction import predict
-from attackcf.similarity import (
-    PairSimilarity,
-    UndefinedSimilarityError,
-    pcc,
-    similarity_matrix,
-)
+from attackcf.similarity import UndefinedSimilarityError, pcc
 
 import oracles
-from conftest import per_pair_reference
+from conftest import pair_similarities, per_pair_reference
 
 
 def _ratings_graph(ratings: dict[str, dict[str, float]]) -> AssetGraph:
@@ -143,56 +138,56 @@ class TestPcc:
 
 
 class TestSimilarityMatrix:
+    """The pair similarities predict reports, one (a, b, value, co_rated,
+    degenerate) per asset pair sharing a CVE (conftest.pair_similarities)."""
+
     def test_office_model(self, office):
-        matrix = similarity_matrix(office)
-        assert [(s.a, s.b) for s in matrix] == [
+        sims = pair_similarities(office)
+        assert [(a, b) for a, b, *_ in sims] == [
             ("A1", "A2"), ("A1", "A3"), ("A2", "A3")
         ]
-        assert all(s.value == 1.0 and s.degenerate for s in matrix)
-        assert [s.co_rated for s in matrix] == [4, 3, 3]
+        assert all(value == 1.0 and degenerate for _, _, value, _, degenerate in sims)
+        assert [co_rated for _, _, _, co_rated, _ in sims] == [4, 3, 3]
 
     def test_single_asset(self):
         g = _ratings_graph({"X": {"I1": 5.0}})
-        assert similarity_matrix(g) == []
+        assert pair_similarities(g) == []
 
     def test_pairs_without_common_cves_omitted(self):
         g = _ratings_graph({"X": {"I1": 5.0}, "Y": {"I2": 5.0}})
-        assert similarity_matrix(g) == []
+        assert pair_similarities(g) == []
 
     def test_single_common_cve_kept_with_zero_value(self):
         g = _ratings_graph({"X": {"I1": 5.0, "I2": 1.0}, "Y": {"I1": 3.0}})
-        assert similarity_matrix(g) == [
-            PairSimilarity(a="X", b="Y", value=0.0, co_rated=1, degenerate=False)
-        ]
+        assert pair_similarities(g) == [("X", "Y", 0.0, 1, False)]
 
     def test_ratings_fixture_against_oracle(self):
         g = _ratings_graph(RATINGS)
-        by_pair = {(s.a, s.b): s for s in similarity_matrix(g)}
+        by_pair = {(a, b): rest for a, b, *rest in pair_similarities(g)}
 
-        u1u2 = by_pair[("U1", "U2")]
-        assert u1u2.co_rated == 3
+        value, co_rated, degenerate = by_pair[("U1", "U2")]
+        assert co_rated == 3
         expected = oracles.pearson_reference([1, 2, 5], [4, 5, 4])
-        assert u1u2.value == pytest.approx(expected, abs=1e-9)
-        assert not u1u2.degenerate
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert not degenerate
 
-        u2u4 = by_pair[("U2", "U4")]
-        assert u2u4.co_rated == 4
+        value, co_rated, _ = by_pair[("U2", "U4")]
+        assert co_rated == 4
         expected = oracles.pearson_reference([4, 5, 4, 1], [1, 1, 2, 5])
-        assert u2u4.value == pytest.approx(expected, abs=1e-9)
+        assert value == pytest.approx(expected, abs=1e-9)
 
-        assert by_pair[("U2", "U3")].co_rated == 2
-        assert by_pair[("U1", "U3")].co_rated == 1
-        assert by_pair[("U1", "U3")].value == 0.0
+        assert by_pair[("U2", "U3")][1] == 2
+        assert by_pair[("U1", "U3")][:2] == [0.0, 1]
 
     def test_symmetric_by_construction(self, office):
-        for s in similarity_matrix(office):
+        for a, b, value, _, _ in pair_similarities(office):
             direct, _ = pcc(
-                [(sa, sb) for _, sa, sb in oracles.common_vulnerabilities(s.a, s.b, office)]
+                [(sa, sb) for _, sa, sb in oracles.common_vulnerabilities(a, b, office)]
             )
             flipped, _ = pcc(
-                [(sb, sa) for _, sa, sb in oracles.common_vulnerabilities(s.a, s.b, office)]
+                [(sb, sa) for _, sa, sb in oracles.common_vulnerabilities(a, b, office)]
             )
-            assert direct == flipped == s.value
+            assert direct == flipped == value
 
 
 def _vuln(cve, asset, score, cwe):
@@ -222,7 +217,7 @@ def _random_case(rng: random.Random):
 
 
 class TestSharedCvePass:
-    """similarity_matrix and predict against the per-pair functions on every pair."""
+    """predict's similarities and predictions against the per-pair functions on every pair."""
 
     def test_matches_per_pair_reference(self):
         rng = random.Random(21)
@@ -233,7 +228,7 @@ class TestSharedCvePass:
             keys = [(v.cve_id, v.asset) for v in graph.vulnerabilities]
             saw_duplicate |= len(keys) != len(set(keys))
             sims, preds = per_pair_reference(graph, result, config)
-            assert similarity_matrix(graph) == sims
+            assert pair_similarities(graph) == sims
             assert predict(graph, result, config).predictions == tuple(preds)
         assert saw_duplicate
 
@@ -252,7 +247,7 @@ class TestSharedCvePass:
         assert oracles.common_vulnerabilities("X", "Y", g) == [("C1", 8.0, 5.0), ("C2", 4.0, 1.0)]
         assert oracles.same_type("X", "Y", g)  # only C2's last record agrees with Y
         value, degenerate = pcc([(8.0, 5.0), (4.0, 1.0)])
-        assert similarity_matrix(g) == [PairSimilarity("X", "Y", value, 2, degenerate)]
+        assert pair_similarities(g) == [("X", "Y", value, 2, degenerate)]
         empty = DiscoveryResult(paths=())
         report = predict(g, empty, PredictionConfig(3, 2, 1, 0))
         # 2 shared CVEs with agreeing types: HIGH, not the MEDIUM of disagreement
