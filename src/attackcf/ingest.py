@@ -101,25 +101,30 @@ class ConfigError(IngestError):
 
 
 def _rows(path: Path, columns: tuple[str, ...], what: str):
-    """Yield (line_no, fields) for each data row, the fields an iterator of
-    stripped strings.  The first line must be the header naming columns."""
+    """Yield (line_no, fields) for each data row: the row's first physical
+    line (a quoted line break spreads a row over several) and an iterator
+    of stripped strings.  The first line must be the header naming columns."""
     n_fields = len(columns)
+    line_no = 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and tuple(map(str.strip, header)) != columns:
-            raise IngestError(
-                f"{path}:1: expected header {','.join(columns)!r}, "
-                f"got {','.join(map(str.strip, header))!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_fields:
+        try:
+            header = next(reader, None)
+            if header is not None and tuple(map(str.strip, header)) != columns:
                 raise IngestError(
-                    f"{path}:{line_no}: {what} row needs {n_fields} fields, got {len(row)}"
+                    f"{path}:1: expected header {','.join(columns)!r}, "
+                    f"got {','.join(map(str.strip, header))!r}"
                 )
-            yield line_no, map(str.strip, row)
+            line_no = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != n_fields:
+                        raise IngestError(f"{path}:{line_no}: {what} row needs "
+                                          f"{n_fields} fields, got {len(row)}")
+                    yield line_no, map(str.strip, row)
+                line_no = reader.line_num + 1
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise IngestError(f"{path}:{line_no}: {exc}") from None
 
 
 def load_assets(path) -> AbstractSet[Asset]:

@@ -182,6 +182,9 @@ class AssetGraph:
         """(a, b, rows) for each asset pair sharing a CVE, sorted by (a, b)
         with a < b.  rows holds one (score on a, score on b, same CWE) per
         shared CVE, in CVE order; absent CWE data never counts as the same.
+        When one asset carries the same CVE twice, the record that sorts
+        last by VulnerabilityInstance._sort_key supplies its score and CWE;
+        validate_model flags such input, so the CLI rejects it.
 
         One pass over the CVEs; assets missing from the graph are skipped.
         """

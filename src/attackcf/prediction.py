@@ -13,6 +13,13 @@ in CWE category, against the configured thresholds x1 > x2 > x3 > x4:
 A final rearrangement pass then consults the discovered attack paths:
 a pair with a discovered path entry->target is promoted to very high,
 and a very-high pair without one is demoted to high.
+
+The CVEs each asset pair shares come from AssetGraph.shared_cves, built
+at most once per graph, so every predict call on one graph shares it.  A
+pair's similarity is the Pearson correlation (similarity.pcc) of its
+scores over those CVEs; a pair sharing one CVE scores 0.0 and is not
+degenerate.  Its similarity, co-rated count and degenerate flag are fields
+of the two Predictions predict builds for it.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
+from attackcf import similarity
 from attackcf.discovery import DiscoveryResult
 from attackcf.model import AssetGraph, Classification, Prediction, PredictionConfig
-from attackcf.similarity import _similarities
 
 
 @dataclass(frozen=True)
@@ -52,22 +59,8 @@ def classify_pair(
     return Classification.VERY_LOW
 
 
-def _rearranged(level: Classification, on_path: bool) -> Classification:
-    """The attack-path rule for one direction src->dst of a pair.
-
-    A discovered path whose entry is src and whose target is dst promotes
-    the pair to very high; without one, very high drops to high and any
-    other tier stays.
-    """
-    if on_path:
-        return Classification.VERY_HIGH
-    if level is Classification.VERY_HIGH:
-        return Classification.HIGH
-    return level
-
-
 def predict(
-    graph: AssetGraph, paths: DiscoveryResult, config: PredictionConfig
+    graph: AssetGraph, result: DiscoveryResult, config: PredictionConfig
 ) -> PredictionReport:
     """Classify both directions of every asset pair sharing at least one CVE.
 
@@ -76,10 +69,10 @@ def predict(
     on different tiers.  Predictions are sorted by tier descending, then
     src, then dst.
     """
-    path_endpoints = {(p.entry, p.target) for p in paths.paths}
+    path_endpoints = {(p.entry, p.target) for p in result.paths}
     # A pair's tiers depend only on (co_rated, types agree), and few pairs
     # differ in it: tiers maps each distinct input, classified once, to the
-    # pair's (tier off every path, tier on a path).
+    # pair's tier off every path (very high drops to high) and on a path.
     tiers: dict[tuple[int, bool], tuple[Classification, Classification]] = {}
 
     # by_tier[level][src] holds src's predictions at that tier.  Pairs come
@@ -88,12 +81,19 @@ def predict(
     # As a != b, the predictions skip Prediction's check.
     by_tier = [defaultdict(list) for _ in range(max(Classification) + 1)]
     new = tuple.__new__
-    for a, b, value, co_rated, degenerate, agree in _similarities(graph):
+    for a, b, rows in graph.shared_cves:
+        co_rated = len(rows)
+        if co_rated == 1:
+            value, degenerate, agree = 0.0, False, rows[0][2]
+        else:
+            # looked up on the module, so a wrapper installed there sees each call
+            value, degenerate = similarity.pcc([row[:2] for row in rows])
+            agree = any(row[2] for row in rows)
         pair_tiers = tiers.get((co_rated, agree))
         if pair_tiers is None:
             base = classify_pair(co_rated, agree, config)
-            pair_tiers = tiers[co_rated, agree] = (_rearranged(base, False),
-                                                   _rearranged(base, True))
+            pair_tiers = tiers[co_rated, agree] = (min(base, Classification.HIGH),
+                                                   Classification.VERY_HIGH)
         for src, dst in ((a, b), (b, a)):
             level = pair_tiers[(src, dst) in path_endpoints]
             by_tier[level][src].append(

@@ -134,6 +134,25 @@ class TestDiscoverCommand:
         assert capsys.readouterr().err == (
             f"error: {edges}:1: expected header 'src,dst', got 'A1,A2'\n")
 
+    def test_unreadable_csv_record_is_data_error(self, tmp_path, capsys):
+        # a field longer than csv.field_size_limit() makes csv.reader raise
+        assets = tmp_path / "assets.csv"
+        assets.write_text(
+            "id,name,kind,host\nA1,pc,hardware,\n"
+            f"A2,{'x' * 131_073},hardware,\nA3,l2,hardware,\n"
+        )
+        rc = main([
+            "discover",
+            "--assets", str(assets),
+            "--vulns", str(DEMO_DIR / "vulns.csv"),
+            "--edges", str(DEMO_DIR / "edges.csv"),
+            "--config", str(DEMO_DIR / "config.txt"),
+            "--out", str(tmp_path / "o.txt"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {assets}:3: field larger than field limit (131072)\n")
+
 
 class TestPredictCommand:
     def test_demo_model_final_predictions(self, tmp_path):

@@ -74,6 +74,15 @@ class TestLoadAssets:
         with pytest.raises(IngestError, match=r"a\.csv:2"):
             load_assets(path)
 
+    def test_line_after_multi_line_field_named(self, tmp_path):
+        # the quoted name spans lines 2-3, so the bad row is on line 4
+        path = _write(tmp_path, "a.csv",
+                      ASSET_HEADER + 'A,"two\nlines",hardware,\nB,b,bogus,\n')
+        with pytest.raises(IngestError) as exc:
+            load_assets(path)
+        assert str(exc.value) == (
+            f"{path}:4: field kind must be 'hardware' or 'software', got 'bogus'")
+
     def test_duplicate_id_named(self, tmp_path):
         path = _write(
             tmp_path,

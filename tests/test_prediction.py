@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from attackcf import model, prediction
+from attackcf import model, prediction, similarity
 from attackcf.bench import SynthSpec, generate
 from attackcf.discovery import DiscoveryResult, discover
 from attackcf.model import (
@@ -21,7 +21,6 @@ from attackcf.model import (
 )
 from attackcf.prediction import (
     PredictionReport,
-    _rearranged,
     classify_pair,
     predict,
 )
@@ -147,15 +146,56 @@ class TestClassifyPair:
             assert got == expected
 
 
+# (shared CVEs, CWE agreement) giving each tier before rearrangement under REARRANGE
+REARRANGE = PredictionConfig(4, 3, 2, 1)
+BASE_INPUTS = {
+    Classification.VERY_HIGH: (4, True),
+    Classification.HIGH: (3, True),
+    Classification.MEDIUM: (2, True),
+    Classification.LOW: (1, True),
+    Classification.VERY_LOW: (4, False),
+}
+# the tier each base keeps in a direction no discovered path runs
+OFF_PATH = {
+    Classification.VERY_HIGH: Classification.HIGH,
+    Classification.HIGH: Classification.HIGH,
+    Classification.MEDIUM: Classification.MEDIUM,
+    Classification.LOW: Classification.LOW,
+    Classification.VERY_LOW: Classification.VERY_LOW,
+}
+
+
+def _pair_levels(base, path=None):
+    """predict's {(src, dst): level} for the pair X, Y classified as base,
+    with path (a node tuple) as the only discovered attack path."""
+    n, agree = BASE_INPUTS[base]
+    assert classify_pair(n, agree, REARRANGE) is base
+    cves = [f"C{i}" for i in range(n)]
+    cells = {(a, cve): 5.0 for a in "XY" for cve in cves}
+    g = _graph_from_cells(cells, None if agree else dict.fromkeys(cves))
+    result = DiscoveryResult(paths=() if path is None else (AttackPath(path),))
+    return {(p.src, p.dst): p.level for p in predict(g, result, REARRANGE).predictions}
+
+
 class TestRearrange:
+    """The attack-path rule, seen through predict on two-asset graphs."""
+
     def test_path_promotes_to_top(self):
-        assert _rearranged(Classification.HIGH, True) is Classification.VERY_HIGH
+        for base in BASE_INPUTS:
+            for path in (("X", "Y"), ("Y", "X")):
+                assert _pair_levels(base, path) == {
+                    path: Classification.VERY_HIGH, path[::-1]: OFF_PATH[base],
+                }
 
     def test_no_path_leaves_high_alone(self):
-        assert _rearranged(Classification.HIGH, False) is Classification.HIGH
+        assert _pair_levels(Classification.HIGH) == {
+            ("X", "Y"): Classification.HIGH, ("Y", "X"): Classification.HIGH,
+        }
 
     def test_top_without_path_demoted(self):
-        assert _rearranged(Classification.VERY_HIGH, False) is Classification.HIGH
+        assert _pair_levels(Classification.VERY_HIGH) == {
+            ("X", "Y"): Classification.HIGH, ("Y", "X"): Classification.HIGH,
+        }
 
     def test_endpoints_not_transitive(self):
         # a multi-hop path A1->A2->A3 only certifies the (A1, A3) pair
@@ -174,8 +214,10 @@ class TestRearrange:
     def test_lower_tiers_untouched(self):
         for level in (Classification.MEDIUM, Classification.LOW,
                       Classification.VERY_LOW):
-            assert _rearranged(level, False) is level
-            assert _rearranged(level, True) is Classification.VERY_HIGH
+            assert _pair_levels(level) == {("X", "Y"): level, ("Y", "X"): level}
+            assert _pair_levels(level, ("Y", "X")) == {
+                ("X", "Y"): level, ("Y", "X"): Classification.VERY_HIGH,
+            }
 
 
 class TestPredict:
@@ -221,6 +263,25 @@ class TestPredict:
         g = _graph_from_cells({("X", "C1"): 5.0, ("Y", "C2"): 5.0})
         report = predict(g, _empty_result(), DEFAULTS)
         assert report.predictions == ()
+
+    def test_grades_through_the_module_pcc(self, monkeypatch, office):
+        # perfbench's tracer times pcc by replacing attackcf.similarity.pcc,
+        # so predict must look it up there, once per pair sharing 2+ CVEs
+        calls = []
+        original = similarity.pcc
+
+        def counted(pairs):
+            calls.append(len(pairs))
+            return original(pairs)
+
+        monkeypatch.setattr(similarity, "pcc", counted)
+        g = _graph_from_cells({("X", "C1"): 1.0, ("Y", "C1"): 2.0, ("Z", "C1"): 3.0,
+                               ("X", "C2"): 4.0, ("Y", "C2"): 5.0})
+        for graph, graded in ((office, [4, 3, 3]), (g, [2])):
+            for _ in range(2):
+                calls.clear()
+                predict(graph, _empty_result(), DEFAULTS)
+                assert calls == graded
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_reference_on_random_models(self, seed):

@@ -98,6 +98,19 @@ class TestPcc:
         with pytest.raises(UndefinedSimilarityError):
             pcc([(1.0, 2.0)])
 
+    @pytest.mark.parametrize("pairs", [
+        [(float("nan"), 1.0), (2.0, 3.0)],
+        [(1.0, 2.0), (3.0, float("nan"))],
+        [(float("inf"), 1.0), (2.0, 3.0)],
+        [(1.0, float("-inf")), (2.0, 3.0)],
+        [(float("inf"), float("inf")), (1.0, 1.0)],  # identical vectors
+    ])
+    def test_non_finite_score_undefined(self, pairs):
+        with pytest.raises(UndefinedSimilarityError, match="finite"):
+            pcc(pairs)
+        with pytest.raises(ValueError):
+            pcc(pairs)
+
     def test_symmetry(self):
         rng = random.Random(5)
         for _ in range(200):
