@@ -13,6 +13,10 @@ length, entry count, target count) cells, three repetitions with the
 median reported.  _check_cell holds the rules for a valid cell, and
 run_bench checks every cell before it times any.  The CSV's backend
 column reads python: attackcf._kernels has one pure-Python implementation.
+
+generate and run_bench draw from numpy's random generators, and import
+numpy themselves: the rest of attackcf, the CLI's analysis commands
+included, runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from attackcf.discovery import discover
 from attackcf.model import (
@@ -121,6 +123,8 @@ def _check_cell(capability, propagation_length, n_entry, n_target) -> None:
 
 def generate(spec: SynthSpec) -> AssetGraph:
     """Deterministic synthetic AssetGraph for the given spec."""
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
     n = spec.n_hardware + spec.n_software
 
@@ -188,6 +192,8 @@ def run_bench(
     and cells differing only in propagation length search from identical
     sets.  Cells run sequentially to keep timings honest.
     """
+    import numpy as np
+
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     matrix = tuple(matrix)

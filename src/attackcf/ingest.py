@@ -379,7 +379,7 @@ def save_vulnerabilities(path, vulns) -> None:
         path,
         _VULN_COLUMNS,
         [
-            [v.cve_id, v.asset, repr(v.score), v.cwe_id or "", v.vuln_type.value,
+            [v.cve_id, v.asset, repr(float(v.score)), v.cwe_id or "", v.vuln_type.value,
              v.required_location, v.required_capability]
             for v in ordered
         ],

@@ -2,14 +2,14 @@
 
 Reports are comma-separated text with a versioned `# attackcf <kind> v1`
 first line, metadata comment lines, a column header, then data rows.
-Prediction reports round-trip: parse_prediction_report re-reads exactly
-the Prediction list that was written.
+A prediction report holds every field of each Prediction, with the
+similarity as repr(float), so a reader can rebuild the list exactly.
 """
 
 from __future__ import annotations
 
 from attackcf.discovery import DiscoveryResult
-from attackcf.model import AssetGraph, AssetKind, AttackPath, Classification, Prediction
+from attackcf.model import AssetGraph, AssetKind, AttackPath, Classification
 from attackcf.prediction import PredictionReport
 
 DISCOVER_MAGIC = "# attackcf discover v1"
@@ -23,7 +23,6 @@ _LEVEL_TOKENS = {
     Classification.LOW: "Low",
     Classification.VERY_LOW: "VeryLow",
 }
-_TOKEN_LEVELS = {v: k for k, v in _LEVEL_TOKENS.items()}
 
 
 def format_discovery_report(result: DiscoveryResult) -> str:
@@ -54,51 +53,6 @@ def format_prediction_report(report: PredictionReport) -> str:
         for src, dst, level, similarity, co_rated, degenerate in report.predictions
     ]
     return "\n".join(lines) + "\n"
-
-
-def _parse_prediction_row(line: str) -> Prediction:
-    fields = line.split(",")
-    if len(fields) != 6:
-        raise ValueError(f"prediction row needs 6 fields, got {len(fields)}")
-    src, dst, level, co_rated, similarity, degenerate = fields
-    if level not in _TOKEN_LEVELS:
-        raise ValueError(f"unknown level {level!r}")
-    if degenerate not in ("true", "false"):
-        raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
-    return Prediction(src=src, dst=dst, level=_TOKEN_LEVELS[level],
-                      similarity=float(similarity), co_rated=int(co_rated),
-                      degenerate=degenerate == "true")
-
-
-def parse_prediction_report(path) -> list[Prediction]:
-    """Re-read a prediction report written by format_prediction_report.
-
-    Comment lines may only come before the column header: an asset id may
-    itself begin with '#', so every non-empty line after it is a data row.
-    A malformed data row raises ValueError naming its file and line.
-    """
-    predictions: list[Prediction] = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != PREDICT_MAGIC:
-            raise ValueError(f"{path}: not a prediction report (header {first!r})")
-        rows = enumerate(fh, start=2)
-        for _, line in rows:
-            if line.rstrip("\n") == PREDICT_HEADER:
-                break
-            if not line.startswith("#"):
-                raise ValueError(f"{path}: data before the column header")
-        else:
-            raise ValueError(f"{path}: no column header")
-        for line_no, line in rows:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                predictions.append(_parse_prediction_row(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return predictions
 
 
 def _quote(s: str) -> str:

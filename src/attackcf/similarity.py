@@ -18,14 +18,13 @@ Both fallbacks are flagged as degenerate in the results.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
-
-import numpy as np
 
 
 class UndefinedSimilarityError(ValueError):
     """Raised when the correlation is undefined: fewer than two co-rated
-    scores, or a score that is not finite."""
+    scores, or a score that is not a finite number."""
 
 
 def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
@@ -33,25 +32,60 @@ def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
 
     Returns (value, degenerate).  Means are per-side means over the
     supplied pairs.  Raises UndefinedSimilarityError for fewer than two
-    pairs or a NaN or infinite score; applies the degenerate fallbacks for
-    constant or identical vectors (see module docstring).
+    pairs or a None, NaN or infinite score; applies the degenerate
+    fallbacks for constant or identical vectors (see module docstring).
     """
     if len(pairs) < 2:
         raise UndefinedSimilarityError(
             f"correlation needs at least 2 co-rated scores, got {len(pairs)}"
         )
-    xs = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    ys = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+    try:
+        xs = [float(p[0]) for p in pairs]
+        ys = [float(p[1]) for p in pairs]
+    except TypeError:  # None, say
+        raise UndefinedSimilarityError("correlation needs finite scores") from None
+    if not all(map(math.isfinite, xs + ys)):
         raise UndefinedSimilarityError("correlation needs finite scores")
 
-    if np.array_equal(xs, ys):
+    if xs == ys:
         return 1.0, True
-    if (xs == xs[0]).all() or (ys == ys[0]).all():
+    if len(set(xs)) == 1 or len(set(ys)) == 1:
         return 0.0, True
 
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    value = float((dx * dy).sum() / np.sqrt((dx * dx).sum() * (dy * dy).sum()))
+    mx, my = _sum(xs) / len(xs), _sum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    sxy = _sum([a * b for a, b in zip(dx, dy)])
+    try:
+        value = sxy / math.sqrt(_sum([a * a for a in dx]) * _sum([b * b for b in dy]))
+    except ZeroDivisionError:  # an underflowed denominator: IEEE gives inf or nan
+        value = math.copysign(math.inf, sxy) if sxy else math.nan
     # guard against eps-scale overshoot of the mathematical bound
     return min(1.0, max(-1.0, value)), False
+
+
+def _sum(v: list[float]) -> float:
+    """numpy's pairwise float64 sum, bit for bit.
+
+    The similarity lands in report bytes as repr(float), and the reports
+    were first written with numpy, so the summation order stays fixed:
+    below 8 items one running sum; up to 128, eight strided accumulators
+    combined pairwise, then the tail; above, two halves split at a
+    multiple of 8.  numpy's sum starts from +0.0, as the running sum
+    here does.  The builtin sum() will not do: from Python 3.12 it
+    compensates float rounding and gives other bits.
+    """
+    n = len(v)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _sum(v[:h]) + _sum(v[h:])
+    m = n - n % 8
+    s = 0.0
+    if m:
+        r = v[:8]
+        for i in range(8, m, 8):
+            r = [a + b for a, b in zip(r, v[i:i + 8])]
+        s += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in v[m:]:
+        s += x
+    return s

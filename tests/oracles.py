@@ -1,14 +1,20 @@
 """Independent reference implementations used to cross-check the engines.
 
 Everything here is deliberately written the slow, obvious way (plain
-loops, recursion, permutation tests) and shares no code with the package
-internals.
+loops, recursion, permutation tests, numpy for the correlation) and shares
+no code with the package internals: only its public data types and
+exception classes are imported.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+import numpy as np
+
+from attackcf.model import Classification, Prediction
+from attackcf.similarity import UndefinedSimilarityError
 
 
 def pearson_reference(xs, ys):
@@ -20,6 +26,33 @@ def pearson_reference(xs, ys):
     dx = sum((x - mx) ** 2 for x in xs) ** 0.5
     dy = sum((y - my) ** 2 for y in ys) ** 0.5
     return num / (dx * dy)
+
+
+def pcc_numpy(pairs):
+    """attackcf.similarity.pcc as numpy computes it: the same rejections,
+    fallbacks and clamp, with every sum taken by numpy.
+
+    The package's pure-Python pcc must match this in repr, bit for bit.
+    """
+    if len(pairs) < 2:
+        raise UndefinedSimilarityError(
+            f"correlation needs at least 2 co-rated scores, got {len(pairs)}"
+        )
+    xs = np.asarray([p[0] for p in pairs], dtype=np.float64)
+    ys = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise UndefinedSimilarityError("correlation needs finite scores")
+
+    if np.array_equal(xs, ys):
+        return 1.0, True
+    if (xs == xs[0]).all() or (ys == ys[0]).all():
+        return 0.0, True
+
+    dx = xs - xs.mean()
+    dy = ys - ys.mean()
+    value = float((dx * dy).sum() / np.sqrt((dx * dx).sum() * (dy * dy).sum()))
+    # guard against eps-scale overshoot of the mathematical bound
+    return min(1.0, max(-1.0, value)), False
 
 
 def simple_paths_recursive(adj, src, dst, max_edges):
@@ -156,3 +189,59 @@ def predict_reference(shared, agree, path_pairs, x1, x2, x3, x4):
                 tier = "high"
             out[(src, dst)] = tier
     return out
+
+
+_PREDICT_LEVELS = {
+    "VeryHigh": Classification.VERY_HIGH,
+    "High": Classification.HIGH,
+    "Medium": Classification.MEDIUM,
+    "Low": Classification.LOW,
+    "VeryLow": Classification.VERY_LOW,
+}
+
+
+def _parse_prediction_row(line):
+    fields = line.split(",")
+    if len(fields) != 6:
+        raise ValueError(f"prediction row needs 6 fields, got {len(fields)}")
+    src, dst, level, co_rated, similarity, degenerate = fields
+    if level not in _PREDICT_LEVELS:
+        raise ValueError(f"unknown level {level!r}")
+    if degenerate not in ("true", "false"):
+        raise ValueError(f"degenerate must be true or false, got {degenerate!r}")
+    return Prediction(src=src, dst=dst, level=_PREDICT_LEVELS[level],
+                      similarity=float(similarity), co_rated=int(co_rated),
+                      degenerate=degenerate == "true")
+
+
+def parse_prediction_report(path):
+    """Re-read a prediction report, written from the format's literals
+    rather than attackcf.report's constants, so that a writer bug is not
+    mirrored here.
+
+    Comment lines may only come before the column header: an asset id may
+    itself begin with '#', so every non-empty line after it is a data row.
+    A malformed data row raises ValueError naming its file and line.
+    """
+    predictions = []
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\n")
+        if first != "# attackcf predict v1":
+            raise ValueError(f"{path}: not a prediction report (header {first!r})")
+        rows = enumerate(fh, start=2)
+        for _, line in rows:
+            if line.rstrip("\n") == "src,dst,level,co_rated,similarity,degenerate":
+                break
+            if not line.startswith("#"):
+                raise ValueError(f"{path}: data before the column header")
+        else:
+            raise ValueError(f"{path}: no column header")
+        for line_no, line in rows:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                predictions.append(_parse_prediction_row(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return predictions

@@ -1,7 +1,9 @@
 import hashlib
 import importlib.metadata
+import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,9 +12,9 @@ import pytest
 from attackcf import __version__
 from attackcf.cli import main
 from attackcf.model import Classification
-from attackcf.report import parse_prediction_report
 
 from conftest import DEMO_DIR
+from oracles import parse_prediction_report
 
 ALL_33_REQS = """\
 cve_id,asset_id,score,cwe_id,vuln_type,required_location,required_capability
@@ -357,6 +359,27 @@ def test_demo_outputs_are_pinned(tmp_path):
     assert main(["predict", *_demo_flags(tmp_path / "predict.txt")]) == 0
     assert main(["export-dot", *TestExportDotCommand.FLAGS,
                  "--out", str(tmp_path / "graph.dot")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DEMO_DIGESTS}
+    assert digests == DEMO_DIGESTS
+
+
+def test_analysis_commands_run_without_numpy(tmp_path):
+    # only the synthetic generator and `attackcf bench` import numpy
+    script = ("import sys; sys.modules['numpy'] = None\n"
+              "from attackcf.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (
+        ["discover", *_demo_flags(tmp_path / "discover.txt"),
+         "--dot", str(tmp_path / "discover.dot")],
+        ["predict", *_demo_flags(tmp_path / "predict.txt")],
+        ["export-dot", *TestExportDotCommand.FLAGS, "--out", str(tmp_path / "graph.dot")],
+    ):
+        run = subprocess.run([sys.executable, "-c", script, *argv],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DEMO_DIGESTS}
     assert digests == DEMO_DIGESTS

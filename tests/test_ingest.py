@@ -1,6 +1,7 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -573,6 +574,16 @@ class TestBundleAndRoundTrip:
     def test_round_trip_carriage_return_in_name(self, tmp_path):
         # csv.writer quotes "\n" (its line terminator) but not a bare "\r"
         graph = AssetGraph([Asset("A1", "rack\r3", AssetKind.HARDWARE)])
+        self._assert_round_trips(tmp_path, graph)
+
+    @pytest.mark.parametrize("score", [np.float64(5.0), True], ids=["float64", "bool"])
+    def test_round_trip_non_float_score(self, tmp_path, score):
+        # validate_model accepts any real score; the saver writes it as a float
+        graph = AssetGraph(
+            [Asset("A1", "pc", AssetKind.HARDWARE)],
+            [VulnerabilityInstance("CVE-1", "A1", score, None, VulnType.XSS, 1, 1)],
+        )
+        assert validate_model(graph) == []
         self._assert_round_trips(tmp_path, graph)
 
     @settings(max_examples=150, deadline=None)

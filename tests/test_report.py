@@ -22,11 +22,11 @@ from attackcf.report import (
     PREDICT_MAGIC,
     format_discovery_report,
     format_prediction_report,
-    parse_prediction_report,
     render_dot,
 )
 
 from conftest import ALLOWED_IDS, office_config, office_graph, random_prediction_setup
+from oracles import parse_prediction_report
 
 
 def test_discovery_report_lists_paths_and_counts():

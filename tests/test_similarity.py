@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -104,12 +105,52 @@ class TestPcc:
         [(float("inf"), 1.0), (2.0, 3.0)],
         [(1.0, float("-inf")), (2.0, 3.0)],
         [(float("inf"), float("inf")), (1.0, 1.0)],  # identical vectors
+        [(None, 1.0), (2.0, 3.0)],
+        [(1.0, 2.0), (3.0, None)],
     ])
     def test_non_finite_score_undefined(self, pairs):
         with pytest.raises(UndefinedSimilarityError, match="finite"):
             pcc(pairs)
         with pytest.raises(ValueError):
             pcc(pairs)
+
+    def test_bits_match_numpy(self):
+        # reports write the similarity as repr(float), so pcc must give
+        # numpy's bits, not just a close value
+        rng = random.Random(23)
+        cases = [  # the means round so that every product is -0.0
+            [(3.0, 7.7), (2.9999999999999996, 7.700000000000001)],
+            [(2.0, 1.0000000000000002), (1.9999999999999998, 1.0000000000000004)],
+        ]
+        for n in range(2, 301):
+            scale = 10.0 ** rng.choice((-170, 160))
+            xs = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            cases += [
+                [(round(rng.uniform(0, 10), 1), round(rng.uniform(0, 10), 1))
+                 for _ in range(n)],
+                list(zip(xs, (rng.gauss(0.0, 1.0) for _ in range(n)))),
+                [(x, x + rng.choice((0.0, 1e-15, -1e-15))) for x in xs],
+                [(rng.choice((0.0, -0.0, 1.0, -1.0)), rng.choice((0.0, -0.0, 2.0)))
+                 for _ in range(n)],
+                # zero covariance whenever 4 divides n
+                ([(1.0, 1.0), (2.0, 0.0), (2.0, 2.0), (3.0, 1.0)] * n)[:n],
+                [(rng.randint(0, 2) * scale, rng.randint(0, 3) * scale) for _ in range(n)],
+            ]
+        zero_covariance = 0
+        for pairs in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    expected = repr(oracles.pcc_numpy(pairs))
+                except UndefinedSimilarityError:
+                    expected = "undefined"
+            try:
+                got = repr(pcc(pairs))
+            except UndefinedSimilarityError:
+                got = "undefined"
+            assert got == expected, pairs
+            zero_covariance += got == "(0.0, False)"
+        assert zero_covariance >= 77  # the two fixed cases, and n = 4, 8, ..., 300
 
     def test_symmetry(self):
         rng = random.Random(5)
