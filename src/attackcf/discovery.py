@@ -72,20 +72,21 @@ def entry_eligible(
 def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
     """Enumerate every bounded attack path from eligible entries to targets.
 
-    The graph is assumed structurally valid (see validate_model).
+    The graph is assumed structurally valid (see validate_model).  Raises
+    ValueError naming every configured entry, then every configured target,
+    that is not an asset of the graph.
     """
     adj = graph.adjacency
     index = adj.index
-    entries = sorted(config.entry_points & index.keys())
-    targets = sorted(config.target_points & index.keys())
-    if not entries:
-        raise ValueError("no configured entry point exists in the graph")
-    if not targets:
-        raise ValueError("no configured target point exists in the graph")
+    for label, points in (("entry_points", config.entry_points),
+                          ("target_points", config.target_points)):
+        missing = sorted(points.difference(index))
+        if missing:
+            raise ValueError(f"{label} reference unknown assets: {', '.join(missing)}")
 
     eligible = [
         e
-        for e in entries
+        for e in sorted(config.entry_points)
         if entry_eligible(e, graph, config.attacker, config.allowed_types)
     ]
     if not eligible:
@@ -94,7 +95,8 @@ def discover(graph: AssetGraph, config: DiscoveryConfig) -> DiscoveryResult:
     max_len = config.propagation_length
     # the DFS reads a distance only after stepping onto an asset, at least
     # one edge into the path, so a distance of max_len is never used
-    to_target = _kernels.bfs_lengths(adj.pred, [index[t] for t in targets], max_len - 1)
+    to_target = _kernels.bfs_lengths(adj.pred, [index[t] for t in config.target_points],
+                                    max_len - 1)
     # eligible ascends and indices sort like ids, so the paths come out sorted
     found = _kernels.simple_paths(adj.succ, adj.ids, [index[e] for e in eligible],
                                   to_target, max_len)

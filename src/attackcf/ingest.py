@@ -22,8 +22,10 @@ asset) records.  Asset and VulnerabilityInstance records are immutable
 tuples.  A saved file is already in the graph's order, so AssetGraph sorts
 what the loaders return in near-linear time.
 
-Asset ids may not contain a comma, "->", a double quote, a backslash or a
-line break: the reports and the DOT export write ids as they are.
+Asset ids must be non-empty and may not contain a comma, "->", a double
+quote, a backslash or a line break: the reports and the DOT export write
+ids as they are.  This is one of model's per-record rules, so
+validate_model flags such ids in a graph built in code too.
 
 Vulnerability requirement fields accept plain integers 1-3, or a CVSS
 base-vector string in the required_location field (e.g.
@@ -36,7 +38,6 @@ left empty.
 from __future__ import annotations
 
 import csv
-import re
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,8 +51,8 @@ from attackcf.model import (
     PredictionConfig,
     VulnType,
     VulnerabilityInstance,
+    _asset_violations,
     _edge_violations,
-    _host_violations,
     _vulnerability_violations,
 )
 
@@ -75,11 +76,6 @@ _CONFIG_KEYS = frozenset(
         "x4",
     }
 )
-
-#: asset ids are written unquoted into comma-separated reports, joined with
-#: "->" in the discovery report and quoted in DOT, so none of these may
-#: occur in one; the class holds every line break str.splitlines knows
-_UNSAFE_ID = re.compile(r',|->|"|\\|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
 
 _ACCESS_VECTOR = {"L": 1, "A": 2, "N": 3}
 _ACCESS_COMPLEXITY = {"L": 1, "M": 2, "H": 3}
@@ -134,18 +130,11 @@ def load_assets(path) -> AbstractSet[Asset]:
     a later line than the assets it hosts.
     """
     path = Path(path)
-    # record -> line, for the host check once every id is known
+    # record -> first line, for the per-asset rules once every id is known
     assets: dict[Asset, int] = {}
     known: dict[str, Asset] = {}
     for line_no, (aid, name, kind, host) in _rows(path, _ASSET_COLUMNS, "asset"):
-        if not aid:
-            raise IngestError(f"{path}:{line_no}: empty asset id")
-        if _UNSAFE_ID.search(aid):
-            raise IngestError(
-                f"{path}:{line_no}: asset id {aid!r} contains a comma, '->', "
-                "a double quote, a backslash or a line break"
-            )
-        if aid in known:
+        if aid and aid in known:  # an empty id gets its own message below
             raise IngestError(f"{path}:{line_no}: duplicate asset id {aid}")
         kind_val = _ASSET_KIND_TOKENS.get(kind)
         if kind_val is None:
@@ -153,8 +142,8 @@ def load_assets(path) -> AbstractSet[Asset]:
                 f"{path}:{line_no}: field kind must be 'hardware' or 'software', got {kind!r}"
             )
         asset = known[aid] = Asset(aid, name, kind_val, host or None)
-        assets[asset] = line_no
-    for a, message in _host_violations(assets, known):
+        assets.setdefault(asset, line_no)
+    for a, message in _asset_violations(assets, known):
         raise IngestError(f"{path}:{assets[a]}: {message}")
     return assets.keys()
 
@@ -283,8 +272,6 @@ def load_config(path) -> tuple[DiscoveryConfig, PredictionConfig]:
     options = {}
     if "allowed_types" in values:
         tokens = _split_list(values["allowed_types"])
-        if not tokens:
-            raise ConfigError(f"{path}: allowed_types must not be empty")
         for token in tokens:
             if token not in _VULN_TYPE_TOKENS:
                 raise ConfigError(
@@ -338,18 +325,10 @@ class ModelBundle:
 
 
 def load_bundle(assets_path, vulns_path, edges_path, config_path) -> ModelBundle:
-    """Load model and config files, checking that config references resolve."""
+    """Load model and config files.  Whether the configured entry and target
+    points are assets of the graph is discover's check."""
     graph = load_model(assets_path, vulns_path, edges_path)
     discovery, prediction = load_config(config_path)
-    for label, points in (
-        ("entry_points", discovery.entry_points),
-        ("target_points", discovery.target_points),
-    ):
-        missing = sorted(points.difference(graph.asset_by_id))
-        if missing:
-            raise ConfigError(
-                f"{config_path}: {label} reference unknown assets: {', '.join(missing)}"
-            )
     return ModelBundle(graph=graph, discovery=discovery, prediction=prediction)
 
 

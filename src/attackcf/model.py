@@ -7,9 +7,10 @@ a changed copy through _replace.  They check nothing when built.
 Graph-level consistency (dangling references, duplicate ids, out-of-range
 scores) is reported by :func:`validate_model` rather than raised at
 construction time, so that broken input data can be inspected as data.
-Each per-record rule lives in one _*_violations generator here, which
-validate_model and the ingest loaders both run; conflicting records of one
-(cve_id, asset) are found by validate_model alone.
+Each per-record rule, the asset-id rule included, lives in one
+_*_violations generator here, which validate_model and the ingest loaders
+both run; conflicting records of one (cve_id, asset) are found by
+validate_model alone.
 The result records are tuples too: an AttackPath is the tuple of its node
 ids and a Prediction a NamedTuple.  Calling either class checks its one
 rule (a simple path of two nodes or more; src != dst); the discovery kernel
@@ -21,6 +22,7 @@ a bad config is an operator error, not a data-quality finding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -125,9 +127,9 @@ class AssetGraph:
     Construction normalises the three collections to sorted, de-duplicated
     tuples so that structurally equal models compare equal regardless of
     input order.  Four lookups are built on first use, once per graph, and
-    shared: asset_by_id (validate_model, load_bundle, entry eligibility),
-    vulns_by_asset (entry eligibility), adjacency (the discovery BFS and
-    DFS) and shared_cves (predict).
+    shared: asset_by_id (validate_model, entry eligibility), vulns_by_asset
+    (entry eligibility), adjacency (discover's configured-id check, its BFS
+    and DFS) and shared_cves (predict).
     """
 
     assets: tuple[Asset, ...]
@@ -252,6 +254,8 @@ class DiscoveryConfig:
         if not self.allowed_types:
             raise ValueError("allowed_types must not be empty")
         _check_positive_int("propagation_length", propagation_length)
+        if not isinstance(attacker, AttackerProfile):
+            raise ValueError(f"attacker must be an AttackerProfile, got {attacker!r}")
         for t in self.allowed_types:
             if not isinstance(t, VulnType):
                 raise ValueError(f"allowed_types must hold VulnType members, got {t!r}")
@@ -360,10 +364,22 @@ class Prediction(_PredictionFields):
         return tuple.__new__(cls, (src, dst, level, similarity, co_rated, degenerate))
 
 
-def _host_violations(assets, known):
-    """Yield (asset, message) per host missing from known (id -> Asset) or not hardware."""
+#: asset ids are written unquoted into comma-separated reports, joined with
+#: "->" in the discovery report and quoted in DOT, so none of these may
+#: occur in one; the class holds every line break str.splitlines knows
+_UNSAFE_ID = re.compile(r',|->|"|\\|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
+
+
+def _asset_violations(assets, known):
+    """Yield (asset, message) per empty or unsafe id, then per host missing
+    from known (id -> Asset) or not hardware."""
     for a in assets:
         aid, _, _, host = a
+        if not aid:
+            yield a, "empty asset id"
+        elif _UNSAFE_ID.search(aid):
+            yield a, (f"asset id {aid!r} contains a comma, '->', a double quote, "
+                      "a backslash or a line break")
         if host is None:
             continue
         if host not in known:
@@ -404,14 +420,15 @@ def validate_model(graph: AssetGraph) -> list[str]:
 
     An empty list means the model is valid.  Violations are data, not
     failures: this never raises for bad model content.  Order: repeated
-    asset ids, hosts, per-record vulnerability faults, conflicting records
-    of one (cve_id, asset) (after every other vulnerability fault), edges.
+    asset ids, each asset's id and host faults, per-record vulnerability
+    faults, conflicting records of one (cve_id, asset) (after every other
+    vulnerability fault), edges.
     """
     known = graph.asset_by_id
     # assets sort by id and records by (cve, asset), so duplicates are neighbours
     violations = [f"duplicate asset id {a.id}"
                   for before, a in pairwise(graph.assets) if a.id == before.id]
-    violations += [m for _, m in _host_violations(graph.assets, known)]
+    violations += [m for _, m in _asset_violations(graph.assets, known)]
     violations += [m for _, m in _vulnerability_violations(graph.vulnerabilities, known)]
     violations += [f"duplicate vulnerability instance {v.cve_id} on {v.asset}"
                    for before, v in pairwise(graph.vulnerabilities)

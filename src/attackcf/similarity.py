@@ -19,6 +19,7 @@ Both fallbacks are flagged as degenerate in the results.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 
@@ -55,13 +56,21 @@ def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
     mx, my = _sum(xs) / len(xs), _sum(ys) / len(ys)
     dx = [x - mx for x in xs]
     dy = [y - my for y in ys]
-    sxy = _sum([a * b for a, b in zip(dx, dy)])
-    try:
-        value = sxy / math.sqrt(_sum([a * a for a in dx]) * _sum([b * b for b in dy]))
-    except ZeroDivisionError:  # an underflowed denominator: IEEE gives inf or nan
-        value = math.copysign(math.inf, sxy) if sxy else math.nan
+    denom = _sum([a * a for a in dx]) * _sum([b * b for b in dy])
+    if not sys.float_info.min <= denom < math.inf:
+        # the squared deviations under- or overflow; scaling each side by a
+        # power of two leaves the correlation unchanged
+        dx, dy = _unit_scaled(dx), _unit_scaled(dy)
+        denom = _sum([a * a for a in dx]) * _sum([b * b for b in dy])
+    value = _sum([a * b for a, b in zip(dx, dy)]) / math.sqrt(denom)
     # guard against eps-scale overshoot of the mathematical bound
     return min(1.0, max(-1.0, value)), False
+
+
+def _unit_scaled(d: list[float]) -> list[float]:
+    """d times the power of two that brings its largest magnitude into [0.5, 1)."""
+    shift = -math.frexp(max(map(abs, d)))[1]
+    return [math.ldexp(a, shift) for a in d]
 
 
 def _sum(v: list[float]) -> float:

@@ -20,10 +20,15 @@ DEMO_DIR = Path(__file__).resolve().parents[1] / "demo"
 STRIPPED_TEXT = st.text(
     st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
 ).filter(lambda s: s == s.strip())
-# the asset ids ingest accepts
-ALLOWED_IDS = STRIPPED_TEXT.filter(
-    lambda s: not any(p in s for p in (",", "->", '"', "\\")) and s.splitlines() == [s]
-)
+
+
+def is_allowed_id(s: str) -> bool:
+    """Whether ingest and validate_model accept s as an asset id: it is one
+    non-empty line free of the reports' separators and of DOT's escapes."""
+    return not any(p in s for p in (",", "->", '"', "\\")) and s.splitlines() == [s]
+
+
+ALLOWED_IDS = STRIPPED_TEXT.filter(is_allowed_id)
 
 # the desktop + two laptops case study model, built in code
 _SHARED_CVES = [

@@ -156,6 +156,20 @@ class TestDiscoverCommand:
             f"error: {assets}:3: field larger than field limit (131072)\n")
 
 
+@pytest.mark.parametrize("command", ["discover", "predict"])
+@pytest.mark.parametrize("old, new, message", [
+    ("entry_points=A1,A2", "entry_points=A1,ZZ,A0", "entry_points reference unknown assets: A0, ZZ"),
+    ("target_points=A1,A2,A3", "target_points=A3,Z9", "target_points reference unknown assets: Z9"),
+], ids=["entry", "target"])
+def test_unknown_configured_id_is_data_error(tmp_path, capsys, command, old, new, message):
+    config = tmp_path / "config.txt"
+    config.write_text((DEMO_DIR / "config.txt").read_text().replace(old, new))
+    out = tmp_path / "o.txt"
+    assert main([command, *_demo_flags(out, config)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestPredictCommand:
     def test_demo_model_final_predictions(self, tmp_path):
         out = tmp_path / "predictions.txt"

@@ -172,7 +172,19 @@ class TestDiscover:
         config = DiscoveryConfig({"A1"}, {"Z9"}, AttackerProfile(3, 3), 1)
         with pytest.raises(ValueError) as exc:
             discover(office, config)
-        assert str(exc.value) == "no configured target point exists in the graph"
+        assert str(exc.value) == "target_points reference unknown assets: Z9"
+
+    def test_every_unknown_configured_id_raises(self, office):
+        # one known id does not excuse the others: each is part of the
+        # attack surface the analyst asked about
+        config = DiscoveryConfig({"A1", "TYPO", "B0"}, {"A2", "NOPE"}, AttackerProfile(3, 3), 2)
+        with pytest.raises(ValueError) as exc:
+            discover(office, config)
+        assert str(exc.value) == "entry_points reference unknown assets: B0, TYPO"
+        config = DiscoveryConfig({"A1"}, {"A2", "NOPE", "MISSING"}, AttackerProfile(3, 3), 2)
+        with pytest.raises(ValueError) as exc:
+            discover(office, config)
+        assert str(exc.value) == "target_points reference unknown assets: MISSING, NOPE"
 
     def test_all_traversals_share_one_adjacency(self, office, monkeypatch):
         seen = []

@@ -1,4 +1,5 @@
 import tempfile
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attackcf.bench import SynthSpec, generate
+from attackcf.discovery import discover
 from attackcf.ingest import (
     ConfigError,
     IngestError,
@@ -23,12 +25,15 @@ from attackcf.model import (
     Asset,
     AssetGraph,
     AssetKind,
+    AttackerProfile,
+    DiscoveryConfig,
     VulnType,
     VulnerabilityInstance,
     validate_model,
 )
+from attackcf.report import format_discovery_report
 
-from conftest import ALLOWED_IDS, DEMO_DIR, STRIPPED_TEXT, office_graph
+from conftest import ALLOWED_IDS, DEMO_DIR, STRIPPED_TEXT, is_allowed_id, office_graph
 
 ASSET_HEADER = "id,name,kind,host\n"
 VULN_HEADER = (
@@ -104,6 +109,14 @@ class TestLoadAssets:
 
     def test_empty_id_rejected_with_line(self, tmp_path):
         path = _write(tmp_path, "a.csv", ASSET_HEADER + "A0,x,hardware,\n,y,hardware,\n")
+        with pytest.raises(IngestError) as exc:
+            load_assets(path)
+        assert str(exc.value) == f"{path}:3: empty asset id"
+
+    @pytest.mark.parametrize("second", ["z", "y"], ids=["other-name", "same-row"])
+    def test_repeated_empty_id_rejected_at_first_line(self, tmp_path, second):
+        body = f"A0,x,hardware,\n,y,hardware,\n,{second},hardware,\n"
+        path = _write(tmp_path, "a.csv", ASSET_HEADER + body)
         with pytest.raises(IngestError) as exc:
             load_assets(path)
         assert str(exc.value) == f"{path}:3: empty asset id"
@@ -536,15 +549,19 @@ class TestBundleAndRoundTrip:
         assert bundle.graph == office_graph()
 
     def test_bundle_rejects_unknown_entry_point(self, tmp_path):
+        # the bundle loads; discover owns the check that configured ids are assets
         config = CONFIG_MINIMAL.replace("entry_points=A1,A2", "entry_points=A1,ZZ")
         path = _write(tmp_path, "c.txt", config)
-        with pytest.raises(ConfigError, match="ZZ"):
-            load_bundle(
-                DEMO_DIR / "assets.csv",
-                DEMO_DIR / "vulns.csv",
-                DEMO_DIR / "edges.csv",
-                path,
-            )
+        bundle = load_bundle(
+            DEMO_DIR / "assets.csv",
+            DEMO_DIR / "vulns.csv",
+            DEMO_DIR / "edges.csv",
+            path,
+        )
+        assert bundle.discovery.entry_points == {"A1", "ZZ"}
+        with pytest.raises(ValueError) as exc:
+            discover(bundle.graph, bundle.discovery)
+        assert str(exc.value) == "entry_points reference unknown assets: ZZ"
 
     def test_ingestion_deterministic(self):
         paths = (DEMO_DIR / "assets.csv", DEMO_DIR / "vulns.csv", DEMO_DIR / "edges.csv")
@@ -614,6 +631,28 @@ class TestBundleAndRoundTrip:
         edges = data.draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
         with tempfile.TemporaryDirectory() as tmp:
             self._assert_round_trips(Path(tmp), AssetGraph(assets, vulns, edges))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.just("") | STRIPPED_TEXT, min_size=2, max_size=5, unique=True))
+    def test_validated_ids_survive_every_writer(self, ids):
+        # a chain over ids, each asset exploitable, so every id lands on a path
+        graph = AssetGraph(
+            [Asset(i, "x", AssetKind.HARDWARE) for i in ids],
+            [VulnerabilityInstance("CVE-1", i, 5.0, None, VulnType.XSS, 1, 1) for i in ids],
+            pairwise(ids),
+        )
+        violations = validate_model(graph)
+        # each id the ingest rule rejects is flagged once, and nothing else is
+        assert len(violations) == sum(not is_allowed_id(i) for i in ids)
+        if violations:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_round_trips(Path(tmp), graph)
+        result = discover(graph, DiscoveryConfig({ids[0]}, ids[1:], AttackerProfile(3, 3), 4))
+        assert len(result.paths) == len(ids) - 1
+        rows = format_discovery_report(result).splitlines()[6:]
+        assert [row.split(",") for row in rows] == [
+            [p.entry, p.target, str(p.n_edges), "->".join(p)] for p in result.paths]
 
     @staticmethod
     def _assert_round_trips(tmp_path, graph: AssetGraph):

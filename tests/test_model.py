@@ -350,6 +350,12 @@ class TestConfigInvariants:
         with pytest.raises(ValueError):
             DiscoveryConfig({"A1"}, (), attacker, 1)
 
+    @pytest.mark.parametrize("attacker", [None, (3, 3)], ids=["none", "tuple"])
+    def test_discovery_config_rejects_non_profile_attacker(self, attacker):
+        with pytest.raises(ValueError) as exc:
+            DiscoveryConfig({"A1"}, {"A3"}, attacker, 3)
+        assert str(exc.value) == f"attacker must be an AttackerProfile, got {attacker!r}"
+
     def test_discovery_config_rejects_empty_allowed_types(self):
         # an empty filter would leave every entry ineligible
         with pytest.raises(ValueError, match="^allowed_types must not be empty$"):

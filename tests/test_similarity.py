@@ -1,5 +1,7 @@
+import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,19 @@ from attackcf.similarity import UndefinedSimilarityError, pcc
 
 import oracles
 from conftest import pair_similarities, per_pair_reference
+
+
+def _pcc_exact(pairs) -> float:
+    """The Pearson correlation of pairs in exact rational arithmetic, rounded
+    once: r**2 is sxy**2 / (sxx * syy), and r takes the sign of sxy."""
+    xs = [Fraction(x) for x, _ in pairs]
+    ys = [Fraction(y) for _, y in pairs]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxx = sum((x - mx) ** 2 for x in xs)
+    syy = sum((y - my) ** 2 for y in ys)
+    r = math.sqrt(sxy * sxy / (sxx * syy))
+    return r if sxy >= 0 else -r
 
 
 def _ratings_graph(ratings: dict[str, dict[str, float]]) -> AssetGraph:
@@ -116,12 +131,15 @@ class TestPcc:
 
     def test_bits_match_numpy(self):
         # reports write the similarity as repr(float), so pcc must give
-        # numpy's bits, not just a close value
+        # numpy's bits, not just a close value; numpy's formula is wrong
+        # where the squared deviations under- or overflow, so that family
+        # is checked against the exact correlation instead
         rng = random.Random(23)
         cases = [  # the means round so that every product is -0.0
             [(3.0, 7.7), (2.9999999999999996, 7.700000000000001)],
             [(2.0, 1.0000000000000002), (1.9999999999999998, 1.0000000000000004)],
         ]
+        scaled = []
         for n in range(2, 301):
             scale = 10.0 ** rng.choice((-170, 160))
             xs = [rng.gauss(0.0, 1.0) for _ in range(n)]
@@ -134,10 +152,11 @@ class TestPcc:
                  for _ in range(n)],
                 # zero covariance whenever 4 divides n
                 ([(1.0, 1.0), (2.0, 0.0), (2.0, 2.0), (3.0, 1.0)] * n)[:n],
-                [(rng.randint(0, 2) * scale, rng.randint(0, 3) * scale) for _ in range(n)],
             ]
-        zero_covariance = 0
-        for pairs in cases:
+            scaled.append(
+                [(rng.randint(0, 2) * scale, rng.randint(0, 3) * scale) for _ in range(n)])
+        zero_covariance = graded = 0
+        for pairs, exact in [(p, False) for p in cases] + [(p, True) for p in scaled]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 try:
@@ -148,9 +167,15 @@ class TestPcc:
                 got = repr(pcc(pairs))
             except UndefinedSimilarityError:
                 got = "undefined"
-            assert got == expected, pairs
+            value, degenerate = pcc(pairs) if exact else (None, True)
+            if degenerate:  # the fallbacks do no arithmetic
+                assert got == expected, pairs
+            else:
+                assert value == pytest.approx(_pcc_exact(pairs), rel=0, abs=1e-12), pairs
+                graded += 1
             zero_covariance += got == "(0.0, False)"
         assert zero_covariance >= 77  # the two fixed cases, and n = 4, 8, ..., 300
+        assert graded == 299  # every n of the scaled family
 
     def test_symmetry(self):
         rng = random.Random(5)
