@@ -199,10 +199,10 @@ def run_bench(
     matrix = tuple(matrix)
     for cell in matrix:
         _check_cell(*cell)
-    ids = sorted(a.id for a in graph.assets)
+    ids = graph.adjacency.ids
     # entries are drawn from the hardware backbone: attacks initiate from
     # the reachable infrastructure nodes, targets can be anything
-    hw_ids = sorted(a.id for a in graph.assets if a.kind is AssetKind.HARDWARE) or ids
+    hw_ids = [a.id for a in graph.assets if a.kind is AssetKind.HARDWARE] or ids
     records: list[BenchRecord] = []
     for capability, prop_len, n_entry, n_target in matrix:
         cell_rng = np.random.default_rng([spec.seed, n_entry, n_target])

@@ -56,10 +56,13 @@ def entry_eligible(
     attacker: AttackerProfile,
     allowed_types: frozenset[VulnType],
 ) -> bool:
-    """True when the attacker can exploit at least one allowed-type vulnerability on entry."""
-    if entry not in graph.asset_by_id:
+    """True when the attacker can exploit at least one allowed-type vulnerability
+    on entry.  As discover, it assumes a valid graph (see validate_model): an
+    edge to a missing asset, like an entry that is not an asset, raises KeyError."""
+    adj = graph.adjacency
+    if entry not in adj.index:
         raise KeyError(f"unknown asset id {entry!r}")
-    for v in graph.vulns_by_asset.get(entry, ()):
+    for v in adj.vulns[adj.index[entry]]:
         if (
             attacker.location >= v.required_location
             and attacker.capability >= v.required_capability

@@ -111,13 +111,15 @@ class VulnerabilityInstance(NamedTuple):
 class Adjacency(NamedTuple):
     """Graph index over the sorted asset ids: node i is ids[i] (index maps
     back), succ[i] lists the nodes it has an edge to and pred[i] the nodes
-    with an edge to it, both ascending.  Every row is a plain list of int,
-    which the kernels index fastest."""
+    with an edge to it, both ascending, and vulns[i] lists node i's
+    vulnerability records in graph order.  Every succ and pred row is a
+    plain list of int, which the kernels index fastest."""
 
     ids: tuple[str, ...]
     index: dict[str, int]
     succ: list[list[int]]
     pred: list[list[int]]
+    vulns: list[list[VulnerabilityInstance]]
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,11 @@ class AssetGraph:
 
     Construction normalises the three collections to sorted, de-duplicated
     tuples so that structurally equal models compare equal regardless of
-    input order.  Four lookups are built on first use, once per graph, and
-    shared: asset_by_id (validate_model, entry eligibility), vulns_by_asset
-    (entry eligibility), adjacency (discover's configured-id check, its BFS
-    and DFS) and shared_cves (predict).
+    input order.  Two lookups are built on first use, once per graph, and
+    shared: adjacency (discover's configured-id check, entry eligibility,
+    the BFS and the DFS) and shared_cves (predict).  Building adjacency
+    raises KeyError for an edge to a missing asset; shared_cves skips
+    records on one.  validate_model reads only the records.
     """
 
     assets: tuple[Asset, ...]
@@ -151,25 +154,10 @@ class AssetGraph:
         object.__setattr__(self, "edges", tuple(sorted(dict.fromkeys(edges))))
 
     @cached_property
-    def asset_by_id(self) -> dict[str, Asset]:
-        # first occurrence wins; duplicate ids surface via validate_model
-        out: dict[str, Asset] = {}
-        for a in self.assets:
-            out.setdefault(a.id, a)
-        return out
-
-    @cached_property
-    def vulns_by_asset(self) -> dict[str, tuple[VulnerabilityInstance, ...]]:
-        grouped: dict[str, list[VulnerabilityInstance]] = {}
-        for v in self.vulnerabilities:
-            grouped.setdefault(v.asset, []).append(v)
-        return {k: tuple(vs) for k, vs in grouped.items()}
-
-    @cached_property
     def adjacency(self) -> Adjacency:
-        # edges sort by (src, dst) and indices sort like ids, so both the
-        # successor and the predecessor rows fill in ascending order
-        ids = tuple(sorted(self.asset_by_id))
+        # assets sort by id and edges by (src, dst), so ids ascend without a
+        # sort of their own and every succ and pred row fills in order
+        ids = tuple(dict.fromkeys(a.id for a in self.assets))
         index = {aid: i for i, aid in enumerate(ids)}
         succ: list[list[int]] = [[] for _ in ids]
         pred: list[list[int]] = [[] for _ in ids]
@@ -177,7 +165,11 @@ class AssetGraph:
             i, j = index[s], index[d]
             succ[i].append(j)
             pred[j].append(i)
-        return Adjacency(ids, index, succ, pred)
+        vulns: list[list[VulnerabilityInstance]] = [[] for _ in ids]
+        for v in self.vulnerabilities:
+            if v.asset in index:  # eligibility reads known entries only
+                vulns[index[v.asset]].append(v)
+        return Adjacency(ids, index, succ, pred, vulns)
 
     @cached_property
     def shared_cves(self) -> tuple[tuple[str, str, tuple[tuple[float, float, bool], ...]], ...]:
@@ -190,7 +182,7 @@ class AssetGraph:
 
         One pass over the CVEs; assets missing from the graph are skipped.
         """
-        known = self.asset_by_id
+        known = {a.id for a in self.assets}
         shared: dict[tuple[str, str], list[tuple[float, float, bool]]] = {}
         for _, group in groupby(self.vulnerabilities, key=attrgetter("cve_id")):
             # records sort by (cve, asset, ...): each asset's last record, in id order
@@ -253,6 +245,10 @@ class DiscoveryConfig:
             raise ValueError("target_points must not be empty")
         if not self.allowed_types:
             raise ValueError("allowed_types must not be empty")
+        for name in ("entry_points", "target_points"):
+            for x in getattr(self, name):
+                if not isinstance(x, str):  # numpy.str_ is a str
+                    raise ValueError(f"{name} must hold asset id strings, got {x!r}")
         _check_positive_int("propagation_length", propagation_length)
         if not isinstance(attacker, AttackerProfile):
             raise ValueError(f"attacker must be an AttackerProfile, got {attacker!r}")
@@ -422,9 +418,10 @@ def validate_model(graph: AssetGraph) -> list[str]:
     failures: this never raises for bad model content.  Order: repeated
     asset ids, each asset's id and host faults, per-record vulnerability
     faults, conflicting records of one (cve_id, asset) (after every other
-    vulnerability fault), edges.
+    vulnerability fault), edges.  It reads only the records and caches
+    nothing on the graph.
     """
-    known = graph.asset_by_id
+    known = {a.id: a for a in reversed(graph.assets)}  # the first of each id
     # assets sort by id and records by (cve, asset), so duplicates are neighbours
     violations = [f"duplicate asset id {a.id}"
                   for before, a in pairwise(graph.assets) if a.id == before.id]

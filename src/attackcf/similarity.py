@@ -53,24 +53,29 @@ def pcc(pairs: Sequence[tuple[float, float]]) -> tuple[float, bool]:
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         return 0.0, True
 
-    mx, my = _sum(xs) / len(xs), _sum(ys) / len(ys)
-    dx = [x - mx for x in xs]
-    dy = [y - my for y in ys]
-    denom = _sum([a * a for a in dx]) * _sum([b * b for b in dy])
+    dx, dy, denom = _deviations(xs, ys)
     if not sys.float_info.min <= denom < math.inf:
-        # the squared deviations under- or overflow; scaling each side by a
-        # power of two leaves the correlation unchanged
-        dx, dy = _unit_scaled(dx), _unit_scaled(dy)
-        denom = _sum([a * a for a in dx]) * _sum([b * b for b in dy])
+        # a mean (then denom is NaN) or the squared deviations over- or
+        # underflow; scaling a side by a power of two leaves the correlation
+        # unchanged, but may make unequal sides equal, so no rule above reruns
+        dx, dy, denom = _deviations(_unit_scaled(xs), _unit_scaled(ys))
     value = _sum([a * b for a, b in zip(dx, dy)]) / math.sqrt(denom)
     # guard against eps-scale overshoot of the mathematical bound
     return min(1.0, max(-1.0, value)), False
 
 
-def _unit_scaled(d: list[float]) -> list[float]:
-    """d times the power of two that brings its largest magnitude into [0.5, 1)."""
-    shift = -math.frexp(max(map(abs, d)))[1]
-    return [math.ldexp(a, shift) for a in d]
+def _deviations(xs: list[float], ys: list[float]) -> tuple[list[float], list[float], float]:
+    """Each side's deviations from its mean, and the product of their sums of squares."""
+    mx, my = _sum(xs) / len(xs), _sum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    return dx, dy, _sum([a * a for a in dx]) * _sum([b * b for b in dy])
+
+
+def _unit_scaled(v: list[float]) -> list[float]:
+    """v times the power of two that brings its largest magnitude into [0.5, 1)."""
+    shift = -math.frexp(max(map(abs, v)))[1]
+    return [math.ldexp(a, shift) for a in v]
 
 
 def _sum(v: list[float]) -> float:

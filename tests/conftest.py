@@ -141,7 +141,7 @@ def per_pair_reference(graph, result, config):
     rebuilt pair by pair: oracles.common_vulnerabilities, pcc,
     oracles.same_type and classify_pair on every asset pair, the
     rearrangement rule written out, then one keyed sort into report order.
-    The oracles rebuild each pair's CVEs from graph.vulns_by_asset, so they
+    The oracles rebuild each pair's CVEs from graph.vulnerabilities, so they
     share no code with the package's AssetGraph.shared_cves index."""
     import oracles
     from attackcf.model import Classification, Prediction

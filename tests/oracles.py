@@ -130,16 +130,33 @@ def discover_reference(adj, vulns_of, entries, targets, attacker, allowed, max_e
     return paths
 
 
+_last_grouped = [None, {}]  # the last graph seen, and its records by asset
+
+
+def _records_by_asset(graph):
+    """graph.vulnerabilities grouped by asset id, each group in graph order.
+
+    The oracles run pair by pair over one graph, so the last graph's
+    grouping is kept; grouping on every call doubles the test run.
+    """
+    if _last_grouped[0] is not graph:
+        grouped = {}
+        for v in graph.vulnerabilities:
+            grouped.setdefault(v.asset, []).append(v)
+        _last_grouped[:] = [graph, grouped]
+    return _last_grouped[1]
+
+
 def common_vulnerabilities(a, b, graph):
     """(cve, score on a, score on b) for each CVE on both assets, sorted by CVE.
 
-    graph.vulns_by_asset lists each asset's records in sorted order, so the
-    last record of a repeated CVE is the one kept, as in the package.
+    The graph lists each asset's records in sorted order, so the last record
+    of a repeated CVE is the one kept, as in the package.
     """
     if a == b:
         raise ValueError(f"assets must differ, got {a!r} for both")
-    on_a = {v.cve_id: v.score for v in graph.vulns_by_asset.get(a, ())}
-    on_b = {v.cve_id: v.score for v in graph.vulns_by_asset.get(b, ())}
+    on_a = {v.cve_id: v.score for v in _records_by_asset(graph).get(a, ())}
+    on_b = {v.cve_id: v.score for v in _records_by_asset(graph).get(b, ())}
     return [(cve, on_a[cve], on_b[cve]) for cve in sorted(on_a) if cve in on_b]
 
 
@@ -150,8 +167,8 @@ def same_type(a, b, graph):
     """
     if a == b:
         raise ValueError(f"assets must differ, got {a!r} for both")
-    on_a = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(a, ())}
-    on_b = {v.cve_id: v.cwe_id for v in graph.vulns_by_asset.get(b, ())}
+    on_a = {v.cve_id: v.cwe_id for v in _records_by_asset(graph).get(a, ())}
+    on_b = {v.cve_id: v.cwe_id for v in _records_by_asset(graph).get(b, ())}
     return any(on_a[cve] is not None and on_a[cve] == on_b[cve]
                for cve in on_a.keys() & on_b.keys())
 

@@ -86,8 +86,8 @@ def test_case_study_golden():
                 intermediate[(src, dst)] = intermediate[(dst, src)]
                 continue
             shared = len(
-                {v.cve_id for v in bundle.graph.vulns_by_asset[src]}
-                & {v.cve_id for v in bundle.graph.vulns_by_asset[dst]}
+                {v.cve_id for v in bundle.graph.vulnerabilities if v.asset == src}
+                & {v.cve_id for v in bundle.graph.vulnerabilities if v.asset == dst}
             )
             intermediate[(src, dst)] = classify_pair(
                 shared, oracles.same_type(src, dst, bundle.graph), bundle.prediction

@@ -67,7 +67,7 @@ class TestGenerate:
 
     def test_software_hosted_on_hardware(self):
         graph = generate(SMALL)
-        by_id = graph.asset_by_id
+        by_id = {a.id: a for a in graph.assets}
         for a in graph.assets:
             if a.kind is AssetKind.SOFTWARE:
                 assert a.host is not None

@@ -68,6 +68,12 @@ class TestEntryEligible:
         with pytest.raises(KeyError, match="nope"):
             entry_eligible("nope", g, AttackerProfile(3, 3), DEFAULT_ALLOWED_TYPES)
 
+    def test_edge_to_a_missing_asset_is_lookup_error(self, office):
+        # like discover, eligibility assumes a graph that validate_model accepts
+        g = AssetGraph(office.assets, office.vulnerabilities, office.edges + (("A1", "X9"),))
+        with pytest.raises(KeyError, match="X9"):
+            entry_eligible("A1", g, AttackerProfile(3, 3), DEFAULT_ALLOWED_TYPES)
+
     def test_attacker_monotonicity(self):
         rng = random.Random(13)
         types = list(VulnType)

@@ -5,6 +5,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attackcf.bench import SynthSpec, generate
 from attackcf.ingest import (
@@ -48,6 +49,22 @@ class TestValidateModel:
             edges={("A1", "X9")},
         )
         assert validate_model(graph) == ["edge references missing asset X9"]
+
+    def test_reads_only_the_records_and_caches_nothing(self):
+        # H's first asset, by the graph's sort, is software: the host rule
+        # reads that one, whatever kind a later repeat has
+        graph = AssetGraph(
+            assets=[Asset("H", "b", AssetKind.HARDWARE), Asset("H", "a", AssetKind.SOFTWARE),
+                    Asset("S", "s", AssetKind.SOFTWARE, "H")],
+            edges={("H", "X9")},
+        )
+        before = dict(vars(graph))
+        assert validate_model(graph) == [
+            "duplicate asset id H",
+            "asset S hosted on non-hardware asset H",
+            "edge references missing asset X9",
+        ]
+        assert vars(graph) == before
 
     def test_office_model_is_clean(self):
         assert validate_model(office_graph()) == []
@@ -250,6 +267,26 @@ class TestAssetGraph:
         assert predecessors("A1") == ()
         assert g.adjacency is adj
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        assets=st.lists(st.builds(lambda aid, name: Asset(aid, name, AssetKind.HARDWARE),
+                                  st.sampled_from("ABCD"), st.sampled_from("xy")),
+                        max_size=6),
+        vulns=st.lists(st.builds(lambda cve, aid, score: _vuln(cve=cve, asset=aid, score=score),
+                                 st.sampled_from(["C1", "C2", "C3"]), st.sampled_from("ABCDEF"),
+                                 st.sampled_from([1.0, 5.0])),
+                       max_size=12),
+    )
+    def test_vulns_row_lists_each_assets_records_in_graph_order(self, assets, vulns):
+        # repeated ids, records on ids that are not assets (E and F are
+        # never drawn as assets) and assets without records
+        graph = AssetGraph(assets, vulns)
+        adj = graph.adjacency
+        assert adj.ids == tuple(sorted({a.id for a in assets}))
+        assert len(adj.vulns) == len(adj.ids)
+        for x in adj.ids:
+            assert adj.vulns[adj.index[x]] == [v for v in graph.vulnerabilities if v.asset == x]
+
     def test_reverse_adjacency_is_the_transpose(self):
         rng = random.Random(3)
         ids = [f"N{i}" for i in range(8)]
@@ -367,7 +404,15 @@ class TestConfigInvariants:
         ("allowed_types", "XSS"),
         ("allowed_types", {VulnType.XSS, "Overflow"}),
         ("allowed_types", [None]),
-    ], ids=["entry-str", "target-str", "types-str", "types-str-member", "types-none"])
+        ("entry_points", ["A2", 1]),
+        ("entry_points", [None]),
+        ("entry_points", [b"A1"]),
+        ("target_points", [1]),
+        ("target_points", ["A2", None]),
+        ("target_points", [b"A3"]),
+    ], ids=["entry-str", "target-str", "types-str", "types-str-member", "types-none",
+            "entry-int", "entry-none", "entry-bytes", "target-int", "target-none",
+            "target-bytes"])
     def test_discovery_config_rejects_strings_and_foreign_types(self, field, value):
         args = {"entry_points": {"A1"}, "target_points": ["A3"],
                 "attacker": AttackerProfile(3, 3), "propagation_length": 3}

@@ -259,6 +259,13 @@ class TestPredict:
         assert all(p.similarity == 1.0 and p.degenerate for p in report.predictions)
         assert report.config_echo == DEFAULTS
 
+    def test_edge_to_a_missing_asset_changes_nothing(self, office):
+        # predict reads no adjacency, so it runs on a graph that
+        # validate_model rejects for an edge alone
+        g = AssetGraph(office.assets, office.vulnerabilities, office.edges + (("A1", "X9"),))
+        result = discover(office, office_config())
+        assert predict(g, result, DEFAULTS) == predict(office, result, DEFAULTS)
+
     def test_no_shared_cves_gives_empty_report(self):
         g = _graph_from_cells({("X", "C1"): 5.0, ("Y", "C2"): 5.0})
         report = predict(g, _empty_result(), DEFAULTS)

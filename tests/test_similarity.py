@@ -129,6 +129,14 @@ class TestPcc:
         with pytest.raises(ValueError):
             pcc(pairs)
 
+    @pytest.mark.parametrize("ys", [(1.0, 2.0, 3.0), (3.0, 2.0, 1.0)], ids=["down", "up"])
+    def test_overflowing_mean_is_graded(self, ys):
+        # the sum of the xs overflows, so no deviation from the mean is finite
+        pairs = list(zip((1.7e308, 1.7e308, -1.7e308), ys))
+        value, degenerate = pcc(pairs)
+        assert not degenerate
+        assert value == pytest.approx(_pcc_exact(pairs), rel=0, abs=1e-12)
+
     def test_bits_match_numpy(self):
         # reports write the similarity as repr(float), so pcc must give
         # numpy's bits, not just a close value; numpy's formula is wrong
