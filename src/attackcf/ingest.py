@@ -22,6 +22,14 @@ asset) records.  Asset and VulnerabilityInstance records are immutable
 tuples.  A saved file is already in the graph's order, so AssetGraph sorts
 what the loaders return in near-linear time.
 
+Whitespace around each CSV field is dropped (str.strip), inside quotes too.
+The strip runs only on a file that may need it: one holding a non-ASCII
+character, a double quote, a carriage return, or whitespace beside a comma
+or a line end.  In any other file each row is one line and no field starts
+or ends with whitespace, so each field already equals its stripped self and
+the records, their order and every message are the same either way.  Saved
+files take that path.
+
 Asset ids must be non-empty and may not contain a comma, "->", a double
 quote, a backslash or a line break: the reports and the DOT export write
 ids as they are.  This is one of model's per-record rules, so
@@ -96,13 +104,43 @@ class ConfigError(IngestError):
     """The configuration file is invalid."""
 
 
+#: the characters str.strip removes that an ASCII field can hold unquoted
+#: ("\n" ends a row; "\r" ends one too, and sends its file to the strip)
+_EDGE_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _may_be_padded(fh) -> bool:
+    """Whether a field of the text file fh may need the strip, read in
+    chunks: a chunk holds a non-ASCII character, a double quote, a "\\r",
+    or whitespace beside a comma, a line feed or the chunk's edge.  If
+    none does, every row is one line and no field starts or ends with
+    whitespace."""
+    while chunk := fh.read(1 << 16):
+        if not chunk.isascii() or '"' in chunk or "\r" in chunk:
+            return True
+        for c in _EDGE_SPACE:
+            if c in chunk and (chunk[0] == c or chunk[-1] == c or c + "," in chunk
+                               or "," + c in chunk or c + "\n" in chunk or "\n" + c in chunk):
+                return True
+    return False
+
+
 def _rows(path: Path, columns: tuple[str, ...], what: str):
     """Yield (line_no, fields) for each data row: the row's first physical
-    line (a quoted line break spreads a row over several) and an iterator
-    of stripped strings.  The first line must be the header naming columns."""
+    line (a quoted line break spreads a row over several) and its stripped
+    strings.  The first line must be the header naming columns.
+
+    Stripping every field costs about as much as parsing it, and saved
+    files carry no padding, so a file that _may_be_padded clears yields its
+    fields as the reader gives them: each equals its stripped self.  A
+    file that cannot be read twice, such as a pipe, is stripped."""
     n_fields = len(columns)
     line_no = 1
     with open(path, newline="", encoding="utf-8-sig") as fh:
+        strip = True
+        if fh.seekable():
+            strip = _may_be_padded(fh)
+            fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -117,7 +155,7 @@ def _rows(path: Path, columns: tuple[str, ...], what: str):
                     if len(row) != n_fields:
                         raise IngestError(f"{path}:{line_no}: {what} row needs "
                                           f"{n_fields} fields, got {len(row)}")
-                    yield line_no, map(str.strip, row)
+                    yield line_no, (map(str.strip, row) if strip else row)
                 line_no = reader.line_num + 1
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise IngestError(f"{path}:{line_no}: {exc}") from None
@@ -141,7 +179,8 @@ def load_assets(path) -> AbstractSet[Asset]:
             raise IngestError(
                 f"{path}:{line_no}: field kind must be 'hardware' or 'software', got {kind!r}"
             )
-        asset = known[aid] = Asset(aid, name, kind_val, host or None)
+        # the record checks nothing when built; _asset_violations does below
+        asset = known[aid] = tuple.__new__(Asset, (aid, name, kind_val, host or None))
         assets.setdefault(asset, line_no)
     for a, message in _asset_violations(assets, known):
         raise IngestError(f"{path}:{assets[a]}: {message}")
@@ -149,10 +188,7 @@ def load_assets(path) -> AbstractSet[Asset]:
 
 
 def _parse_requirements(path: Path, line_no: int, loc_field: str, cap_field: str):
-    loc = _LEVEL_TOKENS.get(loc_field)
-    cap = _LEVEL_TOKENS.get(cap_field)
-    if loc is not None and cap is not None:
-        return loc, cap
+    """The requirement fields that are not both in _LEVEL_TOKENS."""
     if "AV:" in loc_field:
         metrics = dict(
             part.split(":", 1) for part in loc_field.split("/") if ":" in part
@@ -206,8 +242,13 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
                 f"{path}:{line_no}: unknown vuln_type {vtype!r}; accepted: "
                 + ", ".join(sorted(_VULN_TYPE_TOKENS))
             )
-        loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)
-        vulns[VulnerabilityInstance(cve, aid, score, cwe or None, vtype_val, loc, cap)] = line_no
+        loc = _LEVEL_TOKENS.get(loc_s)
+        cap = _LEVEL_TOKENS.get(cap_s)
+        if loc is None or cap is None:
+            loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)
+        # as in load_assets, _vulnerability_violations checks the record below
+        vulns[tuple.__new__(VulnerabilityInstance,
+                            (cve, aid, score, cwe or None, vtype_val, loc, cap))] = line_no
     known = {a.id: a for a in assets}
     for v, message in _vulnerability_violations(vulns, known):
         raise IngestError(f"{path}:{vulns[v]}: {message}")

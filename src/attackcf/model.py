@@ -108,6 +108,20 @@ class VulnerabilityInstance(NamedTuple):
         return (cve, asset, score, cwe or "", vtype._value_, loc, cap, cwe is not None)
 
 
+def _sorted_records(records, key) -> tuple:
+    """The distinct records as a tuple sorted by key, the first of each
+    repeat kept.  The records are first sorted as plain tuples, which
+    compares them in C.  A tuple comparison is decided at the first unequal
+    field, where the key holds the same value, unless that field holds a
+    None or an enum member: then the plain sort raises TypeError, and the
+    key decides.  So a plain sort that finishes gives the key's order."""
+    distinct = dict.fromkeys(records)
+    try:
+        return tuple(sorted(distinct))
+    except TypeError:
+        return tuple(sorted(distinct, key=key))
+
+
 class Adjacency(NamedTuple):
     """Graph index over the sorted asset ids: node i is ids[i] (index maps
     back), succ[i] lists the nodes it has an edge to and pred[i] the nodes
@@ -143,14 +157,9 @@ class AssetGraph:
         # dict.fromkeys keeps the first of each repeat in input order, so
         # input that is already sorted, as every saved file is, sorts in
         # near-linear time
-        object.__setattr__(
-            self, "assets", tuple(sorted(dict.fromkeys(assets), key=Asset._sort_key))
-        )
-        object.__setattr__(
-            self,
-            "vulnerabilities",
-            tuple(sorted(dict.fromkeys(vulnerabilities), key=VulnerabilityInstance._sort_key)),
-        )
+        object.__setattr__(self, "assets", _sorted_records(assets, Asset._sort_key))
+        object.__setattr__(self, "vulnerabilities",
+                           _sorted_records(vulnerabilities, VulnerabilityInstance._sort_key))
         object.__setattr__(self, "edges", tuple(sorted(dict.fromkeys(edges))))
 
     @cached_property
@@ -229,16 +238,18 @@ class DiscoveryConfig:
 
     def __init__(self, entry_points, target_points, attacker, propagation_length,
                  allowed_types=DEFAULT_ALLOWED_TYPES):
-        # frozenset("A1") would be {"A", "1"}
         for name, value in (("entry_points", entry_points), ("target_points", target_points),
                             ("allowed_types", allowed_types)):
+            # frozenset("A1") would be {"A", "1"}
             if isinstance(value, str):
                 raise ValueError(f"{name} must be a collection, not the string {value!r}")
-        object.__setattr__(self, "entry_points", frozenset(entry_points))
-        object.__setattr__(self, "target_points", frozenset(target_points))
+            try:
+                object.__setattr__(self, name, frozenset(value))
+            except TypeError:  # not iterable, or an item not hashable
+                raise ValueError(
+                    f"{name} must be a collection of hashable items, got {value!r}") from None
         object.__setattr__(self, "attacker", attacker)
         object.__setattr__(self, "propagation_length", propagation_length)
-        object.__setattr__(self, "allowed_types", frozenset(allowed_types))
         if not self.entry_points:
             raise ValueError("entry_points must not be empty")
         if not self.target_points:

@@ -399,6 +399,38 @@ def test_analysis_commands_run_without_numpy(tmp_path):
     assert digests == DEMO_DIGESTS
 
 
+def _analysis_outputs(model_dir, out_dir):
+    """The bytes each analysis command writes for the model files in model_dir."""
+    out_dir.mkdir()
+    model = ["--assets", str(model_dir / "assets.csv"), "--vulns", str(model_dir / "vulns.csv"),
+             "--edges", str(model_dir / "edges.csv")]
+    config = ["--config", str(DEMO_DIR / "config.txt")]
+    assert main(["discover", *model, *config, "--out", str(out_dir / "discover.txt"),
+                 "--dot", str(out_dir / "discover.dot")]) == 0
+    assert main(["predict", *model, *config, "--out", str(out_dir / "predict.txt")]) == 0
+    assert main(["export-dot", *model, "--out", str(out_dir / "graph.dot")]) == 0
+    return {name: (out_dir / name).read_bytes() for name in DEMO_DIGESTS}
+
+
+def test_padded_demo_files_give_the_demo_outputs(tmp_path):
+    # saved files carry no padding, so only files like these take ingest's strip
+    padded = tmp_path / "padded"
+    padded.mkdir()
+    for name in ("assets.csv", "vulns.csv", "edges.csv"):
+        lines = (DEMO_DIR / name).read_text(encoding="utf-8").splitlines()
+        text = "".join(",".join(f" {f} " for f in line.split(",")) + "\r\n" for line in lines)
+        # a quoted name: the quotes and the spaces inside them go, the letter stays
+        text = text.replace(" Laptop 1 ", '" Laptöp 1 "')
+        (padded / name).write_text("\ufeff" + text, encoding="utf-8", newline="")
+    assert '" Laptöp 1 "' in (padded / "assets.csv").read_text(encoding="utf-8")
+    demo = _analysis_outputs(DEMO_DIR, tmp_path / "demo-out")
+    # the name appears only as a DOT label
+    renamed = {name: out.replace('label="Laptop 1"'.encode(), 'label="Laptöp 1"'.encode())
+               for name, out in demo.items()}
+    assert renamed["graph.dot"] != demo["graph.dot"]
+    assert _analysis_outputs(padded, tmp_path / "padded-out") == renamed
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,3 +1,4 @@
+import os
 import tempfile
 from itertools import pairwise
 from pathlib import Path
@@ -20,6 +21,8 @@ from attackcf.ingest import (
     save_assets,
     save_edges,
     save_vulnerabilities,
+    _may_be_padded,
+    _parse_requirements,
 )
 from attackcf.model import (
     Asset,
@@ -265,6 +268,28 @@ class TestLoadVulnerabilities:
         path = _write(tmp_path, "v.csv", VULN_HEADER + f"CVE-1,A1,5,CWE-1,XSS,{loc},{cap}\n")
         (v,) = load_vulnerabilities(path, base_assets)
         assert (v.required_location, v.required_capability) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(loc=st.sampled_from(["1", "2", "3", "0", "4", "03", "+2", "\u0663", "x", "",
+                                "AV:N/AC:M", "av:l/ac:h", "AV:Q/AC:L"]),
+           cap=st.sampled_from(["1", "2", "3", "0", "9", "+3", "\u0661", "x", ""]))
+    def test_requirement_lookup_agrees_with_the_general_parse(self, loc, cap):
+        # the loader looks exact "1", "2" and "3" up and parses every other pair
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(Path(tmp), "v.csv", VULN_HEADER + f"C1,A1,5,,XSS,{loc},{cap}\n")
+            try:
+                expected = _parse_requirements(path, 2, loc, cap)
+            except IngestError as exc:
+                expected = str(exc)
+            try:
+                (v,) = load_vulnerabilities(path, [Asset("A1", "pc", AssetKind.HARDWARE)])
+                got = v.required_location, v.required_capability
+            except IngestError as exc:
+                got = str(exc)
+        if isinstance(expected, tuple) and not {*expected} <= {1, 2, 3}:
+            assert got.endswith(" outside {1,2,3}")  # the record rule, once the row parses
+        else:
+            assert got == expected
 
     def test_iterates_in_file_order_without_exact_repeats(self, tmp_path, base_assets):
         path = _write(tmp_path, "v.csv", VULN_HEADER
@@ -661,3 +686,140 @@ class TestBundleAndRoundTrip:
         save_vulnerabilities(v, graph.vulnerabilities)
         save_edges(e, graph.edges)
         assert load_model(a, v, e) == graph
+
+
+#: a few tokens per column, each accepted or rejected by its loader, so that
+#: drawn files load or fail at some line
+_COLUMN_TOKENS = {
+    "assets": [["A1", "A2", "S1", "", "A->B", "A\\1"], ["pc", "rack 3", ""],
+               ["hardware", "software", "firmware"], ["", "A1", "S1", "Z"]],
+    "vulns": [["C1", "C2"], ["A1", "S1", "Z"], ["5", "7.5", "11", "x"], ["", "CWE-1"],
+              ["XSS", "Other", "Phish"], ["1", "3", "0", "01", "AV:N/AC:H"],
+              ["1", "2", "", "4", "x"]],
+    "edges": [["A1", "A2", "S1", "Z"]] * 2,
+}
+_HEADERS = {"assets": ASSET_HEADER, "vulns": VULN_HEADER, "edges": "src,dst\n"}
+_KNOWN = [Asset("A1", "pc", HW), Asset("A2", "pc", HW), Asset("S1", "app", SW, "A1")]
+_LOADERS = {"assets": load_assets,
+            "vulns": lambda path: load_vulnerabilities(path, _KNOWN),
+            "edges": lambda path: load_edges(path, _KNOWN)}
+#: what str.strip removes, in and beyond ASCII (U+0085 and U+2028 end a line
+#: for str.splitlines, not for the CSV reader)
+_ASCII_PADS = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f"), min_size=1, max_size=3)
+_UNICODE_PADS = st.text(st.sampled_from("\xa0\u2003\u3000\x85\u2028"), min_size=1, max_size=2)
+
+
+@st.composite
+def _table(draw, fmt):
+    """The header and data rows of a file; now and then a row has a field
+    too few or too many.  No row is one empty field, which is a blank line."""
+    tokens = _COLUMN_TOKENS[fmt]
+    n = len(tokens)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        width = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        rows.append([draw(st.sampled_from(tokens[i % n])) for i in range(width)])
+    return [_HEADERS[fmt].rstrip("\n").split(",")] + rows
+
+
+def _csv_text(table, pad="", quote=False, eol="\n", bom=False, blanks=(), last_eol=True):
+    """table written with each field padded (inside its quotes), a blank line
+    before each line number in blanks, and the line each table line lands on."""
+    out, line_of = [], {}
+    for no, row in enumerate(table, 1):
+        if no in blanks:
+            out.append("")
+        line_of[no] = len(out) + 1
+        out.append(",".join(f'"{pad}{f}{pad}"' if quote else f"{pad}{f}{pad}" for f in row))
+    if len(table) + 1 in blanks:
+        out.append("")
+    return ("\ufeff" if bom else "") + eol.join(out) + (eol if last_eol else ""), line_of
+
+
+def _outcome(loader, path):
+    try:
+        return list(loader(path))
+    except IngestError as exc:
+        return str(exc)
+
+
+class TestPaddedFiles:
+    """The strip is skipped for files that cannot need it; every other file
+    gives the records, order and messages of its unpadded twin."""
+
+    @pytest.mark.parametrize("fmt", _LOADERS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_padded_variants_load_like_the_plain_file(self, fmt, data):
+        table = data.draw(_table(fmt))
+        pad = data.draw(_ASCII_PADS)
+        wide_pad = data.draw(_UNICODE_PADS)
+        blanks = data.draw(st.sets(st.integers(2, len(table) + 1)))
+        variants = {
+            "padded": dict(pad=pad),
+            "quoted": dict(quote=True),
+            "padded-quoted": dict(pad=pad, quote=True),
+            "crlf": dict(eol="\r\n"),
+            "bom": dict(bom=True),
+            "blank-lines": dict(blanks=blanks),
+            "non-ascii": dict(pad=wide_pad),
+            "all": dict(pad=pad + wide_pad, quote=True, eol="\r\n", bom=True, blanks=blanks,
+                        last_eol=False),
+        }
+        loader = _LOADERS[fmt]
+        with tempfile.TemporaryDirectory() as tmp:
+            plain = Path(tmp) / "plain.csv"
+            text, _ = _csv_text(table)
+            plain.write_text(text, encoding="utf-8", newline="")
+            with open(plain, newline="", encoding="utf-8-sig") as fh:
+                assert not _may_be_padded(fh)  # the plain file skips the strip
+            expected = _outcome(loader, plain)
+            for name, options in variants.items():
+                path = Path(tmp) / f"{name}.csv"
+                text, line_of = _csv_text(table, **options)
+                path.write_text(text, encoding="utf-8", newline="")
+                got = _outcome(loader, path)
+                if isinstance(expected, str):
+                    # the same message at the variant's own file and line
+                    line, _, message = expected.removeprefix(f"{plain}:").partition(":")
+                    assert got == f"{path}:{line_of[int(line)]}:{message}", name
+                else:
+                    assert got == expected, name
+
+    def test_saved_and_shipped_files_skip_the_strip(self, tmp_path):
+        graph = generate(SynthSpec(20, 60, 0.2, 3, 5))
+        save_assets(tmp_path / "a.csv", graph.assets)
+        save_vulnerabilities(tmp_path / "v.csv", graph.vulnerabilities)
+        save_edges(tmp_path / "e.csv", graph.edges)
+        paths = [tmp_path / f for f in ("a.csv", "v.csv", "e.csv")]
+        paths += [DEMO_DIR / f for f in ("assets.csv", "vulns.csv", "edges.csv")]
+        for path in paths:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                assert not _may_be_padded(fh), path
+
+    @pytest.mark.parametrize("text", [
+        "a, b\n", "a ,b\n", " a,b\n", "a,b \n", "a,b\t", "\x1fa,b\n", 'a,"b"\n', "a,b\r\n",
+        "a,\xe9\n",
+    ])
+    def test_any_field_edge_whitespace_or_quote_takes_the_strip(self, tmp_path, text):
+        path = _write(tmp_path, "f.csv", "x,y\n" + text)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            assert _may_be_padded(fh)
+
+    def test_padding_at_a_chunk_edge_is_stripped(self, tmp_path):
+        # the file is checked in chunks of 2**16 characters; the first ends
+        # at the comma before " pc", so the pad starts the second
+        head = ASSET_HEADER + "A0,"
+        filler = "x" * ((1 << 16) - len(head) - len(",hardware,\nA1,"))
+        path = _write(tmp_path, "a.csv", head + filler + ",hardware,\nA1, pc,hardware,\n")
+        assert path.read_text(encoding="utf-8")[(1 << 16) - 1:(1 << 16) + 1] == ", "
+        assert [a.name for a in load_assets(path)] == [filler, "pc"]
+
+    def test_a_pipe_is_read_once_and_stripped(self, tmp_path):
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w", encoding="utf-8") as fh:
+            fh.write(ASSET_HEADER + " A1 , pc ,hardware,\n")
+        try:
+            assert list(load_assets(f"/dev/fd/{read_fd}")) == [Asset("A1", "pc", HW)]
+        finally:
+            os.close(read_fd)

@@ -240,6 +240,27 @@ class TestAssetGraph:
             assert graph.vulnerabilities == tuple(
                 sorted(set(vulns), key=VulnerabilityInstance._sort_key))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        assets=st.lists(st.builds(Asset, st.sampled_from(["A1", "A2"]), st.sampled_from("ab"),
+                                  st.sampled_from(list(AssetKind)),
+                                  st.sampled_from([None, "", "H1", "H2"])),
+                        max_size=8),
+        vulns=st.lists(st.builds(VulnerabilityInstance, st.sampled_from(["C1", "C2"]),
+                                 st.sampled_from(["A1", "A2"]), st.sampled_from([0.0, 5.0, 7.5]),
+                                 st.sampled_from([None, "", "CWE-1", "CWE-2"]),
+                                 st.sampled_from(list(VulnType)), st.sampled_from([1, 2]),
+                                 st.sampled_from([1, 3])),
+                       max_size=12),
+    )
+    def test_records_sort_by_the_sort_key(self, assets, vulns):
+        # repeated ids and fields, None against "" and unequal enum members
+        # make the plain tuple sort raise, so the keyed sort must decide
+        graph = AssetGraph(assets, vulns)
+        assert graph.assets == tuple(sorted(dict.fromkeys(assets), key=Asset._sort_key))
+        assert graph.vulnerabilities == tuple(
+            sorted(dict.fromkeys(vulns), key=VulnerabilityInstance._sort_key))
+
     def test_adjacency_rows_sorted(self):
         g = AssetGraph(
             assets=[Asset(x, x, AssetKind.HARDWARE) for x in ("A3", "A1", "A2")],
@@ -419,6 +440,17 @@ class TestConfigInvariants:
         args[field] = value
         with pytest.raises(ValueError, match=field):
             DiscoveryConfig(**args)
+
+    @pytest.mark.parametrize("field", ["entry_points", "target_points", "allowed_types"])
+    @pytest.mark.parametrize("value", [[["A1"]], 5, None], ids=["nested-list", "int", "none"])
+    def test_discovery_config_rejects_non_collections(self, field, value):
+        # frozenset() raises TypeError for each of these
+        args = {"entry_points": {"A1"}, "target_points": ["A3"],
+                "attacker": AttackerProfile(3, 3), "propagation_length": 3}
+        args[field] = value
+        with pytest.raises(ValueError) as exc:
+            DiscoveryConfig(**args)
+        assert str(exc.value) == f"{field} must be a collection of hashable items, got {value!r}"
 
     def test_discovery_config_takes_any_iterable(self):
         config = DiscoveryConfig(("A1",), iter(["A3", "A4"]), AttackerProfile(3, 3), 3,
