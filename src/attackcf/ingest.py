@@ -22,6 +22,17 @@ asset) records.  Asset and VulnerabilityInstance records are immutable
 tuples.  A saved file is already in the graph's order, so AssetGraph sorts
 what the loaders return in near-linear time.
 
+The loaded records hold one object per distinct value, not one per
+occurrence: every asset id, in a host, a vulnerability row or either end of
+an edge, is the asset's own id string; each CVE and CWE id is one string
+per distinct text; each score is one float per distinct field text.  A
+graph repeats each id and CVE on every record and edge that names it, so
+this keeps the copies out of memory, and the lookups that adjacency and
+shared_cves make then touch a few thousand ids, not tens of thousands of
+scattered copies.  A NaN score is never shared: NaN equals nothing, itself
+included, so two records with their own NaN differ, while a tuple compares
+one shared object equal to itself and two such rows would merge.
+
 Whitespace around each CSV field is dropped (str.strip), inside quotes too.
 The strip runs only on a file that may need it: one holding a non-ASCII
 character, a double quote, a carriage return, or whitespace beside a comma
@@ -171,6 +182,8 @@ def load_assets(path) -> AbstractSet[Asset]:
     # record -> first line, for the per-asset rules once every id is known
     assets: dict[Asset, int] = {}
     known: dict[str, Asset] = {}
+    # each id text -> its one string, whether first met as an id or a host
+    ids: dict[str, str] = {}
     for line_no, (aid, name, kind, host) in _rows(path, _ASSET_COLUMNS, "asset"):
         if aid and aid in known:  # an empty id gets its own message below
             raise IngestError(f"{path}:{line_no}: duplicate asset id {aid}")
@@ -179,8 +192,10 @@ def load_assets(path) -> AbstractSet[Asset]:
             raise IngestError(
                 f"{path}:{line_no}: field kind must be 'hardware' or 'software', got {kind!r}"
             )
+        aid = ids.setdefault(aid, aid)
+        host = ids.setdefault(host, host) if host else None
         # the record checks nothing when built; _asset_violations does below
-        asset = known[aid] = tuple.__new__(Asset, (aid, name, kind_val, host or None))
+        asset = known[aid] = tuple.__new__(Asset, (aid, name, kind_val, host))
         assets.setdefault(asset, line_no)
     for a, message in _asset_violations(assets, known):
         raise IngestError(f"{path}:{assets[a]}: {message}")
@@ -227,15 +242,23 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
     path = Path(path)
     # record -> line (the last of exact repeats), for the checks once every row parses
     vulns: dict[VulnerabilityInstance, int] = {}
+    # asset id -> the asset's own string; membership is the missing-asset rule
+    known = {a.id: a.id for a in assets}
+    texts: dict[str, str] = {}  # CVE and CWE id text -> its one string
+    scores: dict[str, float] = {}  # score text -> its one float, NaN never
     for line_no, (cve, aid, score_s, cwe, vtype, loc_s, cap_s) in _rows(
         path, _VULN_COLUMNS, "vulnerability"
     ):
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise IngestError(
-                f"{path}:{line_no}: field score must be a decimal, got {score_s!r}"
-            ) from None
+        score = scores.get(score_s)
+        if score is None:
+            try:
+                score = float(score_s)
+            except ValueError:
+                raise IngestError(
+                    f"{path}:{line_no}: field score must be a decimal, got {score_s!r}"
+                ) from None
+            if score == score:  # one shared NaN would merge rows that differ today
+                scores[score_s] = score
         vtype_val = _VULN_TYPE_TOKENS.get(vtype)
         if vtype_val is None:
             raise IngestError(
@@ -247,9 +270,9 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
         if loc is None or cap is None:
             loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)
         # as in load_assets, _vulnerability_violations checks the record below
-        vulns[tuple.__new__(VulnerabilityInstance,
-                            (cve, aid, score, cwe or None, vtype_val, loc, cap))] = line_no
-    known = {a.id: a for a in assets}
+        vulns[tuple.__new__(VulnerabilityInstance, (
+            texts.setdefault(cve, cve), known.get(aid, aid), score,
+            texts.setdefault(cwe, cwe) if cwe else None, vtype_val, loc, cap))] = line_no
     for v, message in _vulnerability_violations(vulns, known):
         raise IngestError(f"{path}:{vulns[v]}: {message}")
     return vulns.keys()
@@ -261,9 +284,9 @@ def load_edges(path, assets) -> AbstractSet[tuple[str, str]]:
     path = Path(path)
     # edge -> line, as in load_vulnerabilities
     edges: dict[tuple[str, str], int] = {}
+    known = {a.id: a.id for a in assets}  # as in load_vulnerabilities
     for line_no, (src, dst) in _rows(path, _EDGE_COLUMNS, "edge"):
-        edges[src, dst] = line_no
-    known = {a.id: a for a in assets}
+        edges[known.get(src, src), known.get(dst, dst)] = line_no
     for e, message in _edge_violations(edges, known):
         raise IngestError(f"{path}:{edges[e]}: {message}")
     return edges.keys()

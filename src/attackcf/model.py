@@ -7,10 +7,14 @@ a changed copy through _replace.  They check nothing when built.
 Graph-level consistency (dangling references, duplicate ids, out-of-range
 scores) is reported by :func:`validate_model` rather than raised at
 construction time, so that broken input data can be inspected as data.
-Each per-record rule, the asset-id rule included, lives in one
-_*_violations generator here, which validate_model and the ingest loaders
-both run; conflicting records of one (cve_id, asset) are found by
-validate_model alone.
+Each per-record rule lives in one _*_violations generator here, which
+validate_model and the ingest loaders both run: an asset's id (non-empty,
+safe to write), host (an asset, hardware) and kind (an AssetKind member);
+a vulnerability's asset (known), score (in [0, 10]), requirements (1-3)
+and vuln_type (a VulnType member); an edge's ends (known, not one node).
+The loaders map kind and vuln_type through their token tables, so only a
+graph built in code breaks the two member rules.  Conflicting records of
+one (cve_id, asset) are found by validate_model alone.
 The result records are tuples too: an AttackPath is the tuple of its node
 ids and a Prediction a NamedTuple.  Calling either class checks its one
 rule (a simple path of two nodes or more; src != dst); the discovery kernel
@@ -379,26 +383,29 @@ _UNSAFE_ID = re.compile(r',|->|"|\\|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
 
 def _asset_violations(assets, known):
     """Yield (asset, message) per empty or unsafe id, then per host missing
-    from known (id -> Asset) or not hardware."""
+    from known (id -> Asset) or not hardware, then per kind that is not an
+    AssetKind member."""
     for a in assets:
-        aid, _, _, host = a
+        aid, _, kind, host = a
         if not aid:
             yield a, "empty asset id"
         elif _UNSAFE_ID.search(aid):
             yield a, (f"asset id {aid!r} contains a comma, '->', a double quote, "
                       "a backslash or a line break")
-        if host is None:
-            continue
-        if host not in known:
-            yield a, f"asset {aid} hosted on missing asset {host}"
-        elif known[host][2] is not AssetKind.HARDWARE:  # the host's kind
-            yield a, f"asset {aid} hosted on non-hardware asset {host}"
+        if host is not None:
+            if host not in known:
+                yield a, f"asset {aid} hosted on missing asset {host}"
+            elif known[host][2] is not AssetKind.HARDWARE:  # the host's kind
+                yield a, f"asset {aid} hosted on non-hardware asset {host}"
+        if type(kind) is not AssetKind:  # an Enum with members has no subclass
+            yield a, f"asset {aid} has kind {kind!r}, not an AssetKind member"
 
 
 def _vulnerability_violations(vulnerabilities, known):
-    """Yield (record, message) per missing asset, bad score and bad requirement."""
+    """Yield (record, message) per missing asset, bad score, bad requirement
+    and vuln_type that is not a VulnType member."""
     for v in vulnerabilities:
-        cve, aid, score, _, _, loc, cap = v
+        cve, aid, score, _, vtype, loc, cap = v
         if aid not in known:
             yield v, f"vulnerability {cve} references missing asset {aid}"
         if not 0.0 <= score <= 10.0:
@@ -409,6 +416,9 @@ def _vulnerability_violations(vulnerabilities, known):
         if cap not in (1, 2, 3):
             yield v, (f"vulnerability {cve} on {aid} has required_capability {cap} "
                       "outside {1,2,3}")
+        if type(vtype) is not VulnType:  # as for an asset's kind
+            yield v, (f"vulnerability {cve} on {aid} has vuln_type {vtype!r}, "
+                      "not a VulnType member")
 
 
 def _edge_violations(edges, known):

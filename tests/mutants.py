@@ -47,6 +47,9 @@ INGEST = "src/attackcf/ingest.py"
 MODEL = "src/attackcf/model.py"
 PADDED = "tests/test_ingest.py::TestPaddedFiles"
 PADDED_CLI = "tests/test_cli.py::test_padded_demo_files_give_the_demo_outputs"
+SHARED = "tests/test_ingest.py::TestSharedValues"
+VALIDATE = "tests/test_model.py::TestValidateModel"
+ENUM_CLI = "tests/test_cli.py::test_model_check_rejects_enum_text_in_a_graph_built_in_code"
 
 MUTANTS = [
     Mutant("strip never", INGEST,
@@ -72,6 +75,24 @@ MUTANTS = [
            "        if loc is None or cap is None:\n"
            "            loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)\n", "",
            ("tests/test_ingest.py::TestLoadVulnerabilities",)),
+    Mutant("edges keep their own strings", INGEST,
+           "edges[known.get(src, src), known.get(dst, dst)] = line_no",
+           "edges[src, dst] = line_no",
+           (SHARED,)),
+    Mutant("records keep their own asset string", INGEST,
+           "texts.setdefault(cve, cve), known.get(aid, aid), score,",
+           "texts.setdefault(cve, cve), aid, score,",
+           (SHARED,)),
+    Mutant("hosts keep their own strings", INGEST,
+           "host = ids.setdefault(host, host) if host else None",
+           "host = host or None",
+           (SHARED,)),
+    Mutant("scores are not shared", INGEST,
+           "scores[score_s] = score", "pass",
+           (SHARED,)),
+    Mutant("a NaN score is cached", INGEST,
+           "if score == score:", "if True:",
+           (SHARED,)),
     Mutant("no keyed-sort fallback", MODEL,
            "    except TypeError:\n        return tuple(sorted(distinct, key=key))",
            "    except ZeroDivisionError:\n        return tuple(sorted(distinct, key=key))",
@@ -80,6 +101,12 @@ MUTANTS = [
            "            except TypeError:  # not iterable, or an item not hashable",
            "            except ZeroDivisionError:",
            ("tests/test_model.py::TestConfigInvariants",)),
+    Mutant("the asset kind rule dropped", MODEL,
+           "if type(kind) is not AssetKind:", "if False:",
+           (VALIDATE, ENUM_CLI)),
+    Mutant("the vuln_type rule dropped", MODEL,
+           "if type(vtype) is not VulnType:", "if False:",
+           (VALIDATE,)),
     # the distance bound only prunes: a looser bound or none gives the same
     # paths, more slowly (up to +36 % on the paper topology at L = 10), and no
     # test counts the DFS's work yet

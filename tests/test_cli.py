@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from attackcf import __version__
-from attackcf.cli import main
-from attackcf.model import Classification
+from attackcf.cli import _check_model, main
+from attackcf.ingest import IngestError
+from attackcf.model import Asset, AssetGraph, Classification
 
 from conftest import DEMO_DIR
 from oracles import parse_prediction_report
@@ -489,3 +490,11 @@ def test_test_extra_declares_every_test_dependency():
     extra = tomllib.loads(pyproject.read_text())["project"]["optional-dependencies"]["test"]
     assert {re.match(r"[A-Za-z0-9._-]+", req).group().lower() for req in extra} == {
         "pytest", "hypothesis"}
+
+
+def test_model_check_rejects_enum_text_in_a_graph_built_in_code():
+    # loaded files cannot hold it: ingest maps kind through its token table
+    with pytest.raises(IngestError) as exc:
+        _check_model(AssetGraph([Asset("A1", "pc", "hardware")]))
+    assert str(exc.value) == (
+        "model validation failed:\n  asset A1 has kind 'hardware', not an AssetKind member")

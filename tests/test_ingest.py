@@ -1,3 +1,4 @@
+import csv
 import os
 import tempfile
 from itertools import pairwise
@@ -823,3 +824,65 @@ class TestPaddedFiles:
             assert list(load_assets(f"/dev/fd/{read_fd}")) == [Asset("A1", "pc", HW)]
         finally:
             os.close(read_fd)
+
+
+def _pad_copy(src: Path, dest: Path) -> Path:
+    """src with a space around every field, which sends it through the strip."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    dest.write_text("".join(",".join(f" {f} " for f in line.split(",")) + "\n"
+                            for line in lines), encoding="utf-8")
+    return dest
+
+
+def _assert_one_object_per_value(graph: AssetGraph, vulns_path: Path) -> None:
+    own = {a.id: a.id for a in graph.assets}
+    assert all(a.host is own[a.host] for a in graph.assets if a.host is not None)
+    assert all(v.asset is own[v.asset] for v in graph.vulnerabilities)
+    assert all(s is own[s] and d is own[d] for s, d in graph.edges)
+    for field in ("cve_id", "cwe_id"):
+        values = [getattr(v, field) for v in graph.vulnerabilities]
+        assert len({id(x) for x in values}) == len(set(values)), field
+    with open(vulns_path, newline="", encoding="utf-8") as fh:
+        score_texts = {row[2].strip() for row in list(csv.reader(fh))[1:]}
+    assert len({id(v.score) for v in graph.vulnerabilities}) == len(score_texts)
+
+
+class TestSharedValues:
+    """The loaders give each distinct id, CVE, CWE and score text one object."""
+
+    def _check(self, tmp_path, a, v, e):
+        graph = load_model(a, v, e)
+        _assert_one_object_per_value(graph, v)
+        padded = [_pad_copy(p, tmp_path / f"padded-{p.name}") for p in (a, v, e)]
+        for p in padded:
+            with open(p, newline="", encoding="utf-8-sig") as fh:
+                assert _may_be_padded(fh)
+        padded_graph = load_model(*padded)
+        assert padded_graph == graph
+        _assert_one_object_per_value(padded_graph, padded[1])
+
+    def test_demo_files(self, tmp_path):
+        self._check(tmp_path, *(DEMO_DIR / f for f in ("assets.csv", "vulns.csv", "edges.csv")))
+
+    def test_saved_generated_files(self, tmp_path):
+        graph = generate(SynthSpec(300, 1500, 0.01, 3, 1))
+        a, v, e = tmp_path / "a.csv", tmp_path / "v.csv", tmp_path / "e.csv"
+        save_assets(a, graph.assets)
+        save_vulnerabilities(v, graph.vulnerabilities)
+        save_edges(e, graph.edges)
+        self._check(tmp_path, a, v, e)
+
+    def test_a_host_on_a_later_line_is_that_asset_id(self, tmp_path):
+        path = _write(tmp_path, "a.csv", ASSET_HEADER + "S1,app,software,H1\nH1,pc,hardware,\n")
+        app, pc = load_assets(path)
+        assert app.host is pc.id
+
+    def test_two_nan_rows_stay_two_records(self, tmp_path, base_assets):
+        # NaN equals nothing, so each row keeps its own: one shared NaN would
+        # merge the rows and report the second line
+        row = "CVE-1,A1,nan,CWE-1,XSS,1,1\n"
+        path = _write(tmp_path, "v.csv", VULN_HEADER + row + row)
+        with pytest.raises(IngestError) as exc:
+            load_vulnerabilities(path, base_assets)
+        assert str(exc.value) == (
+            f"{path}:2: vulnerability CVE-1 on A1 has score nan outside [0, 10]")

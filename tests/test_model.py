@@ -159,6 +159,32 @@ class TestValidateModel:
             "duplicate vulnerability instance CVE-1 on A1",
         ]
 
+    def test_kind_and_vuln_type_must_be_enum_members(self):
+        # only a graph built in code can hold the enums' text; the loaders
+        # map both fields through their token tables
+        graph = AssetGraph(
+            assets=[Asset("A1", "a", "hardware")],
+            vulnerabilities=[_vuln(vtype="XSS")],
+        )
+        assert validate_model(graph) == [
+            "asset A1 has kind 'hardware', not an AssetKind member",
+            "vulnerability CVE-1 on A1 has vuln_type 'XSS', not a VulnType member",
+        ]
+
+    def test_enum_member_rules_follow_each_record_other_faults(self):
+        graph = AssetGraph(
+            assets=[Asset("", "a", "software", host="H9")],
+            vulnerabilities=[_vuln(asset="", score=11.0, cap=4, vtype="XSS")],
+        )
+        assert validate_model(graph) == [
+            "empty asset id",
+            "asset  hosted on missing asset H9",
+            "asset  has kind 'software', not an AssetKind member",
+            "vulnerability CVE-1 on  has score 11.0 outside [0, 10]",
+            "vulnerability CVE-1 on  has required_capability 4 outside {1,2,3}",
+            "vulnerability CVE-1 on  has vuln_type 'XSS', not a VulnType member",
+        ]
+
     def test_every_rule_broken_once_in_order(self):
         graph = AssetGraph(
             assets=[
