@@ -22,16 +22,14 @@ asset) records.  Asset and VulnerabilityInstance records are immutable
 tuples.  A saved file is already in the graph's order, so AssetGraph sorts
 what the loaders return in near-linear time.
 
-The loaded records hold one object per distinct value, not one per
-occurrence: every asset id, in a host, a vulnerability row or either end of
-an edge, is the asset's own id string; each CVE and CWE id is one string
-per distinct text; each score is one float per distinct field text.  A
-graph repeats each id and CVE on every record and edge that names it, so
-this keeps the copies out of memory, and the lookups that adjacency and
-shared_cves make then touch a few thousand ids, not tens of thousands of
-scattered copies.  A NaN score is never shared: NaN equals nothing, itself
-included, so two records with their own NaN differ, while a tuple compares
-one shared object equal to itself and two such rows would merge.
+The loaded records hold one object per distinct value: every asset id, in
+a host, a vulnerability row or an edge end, is the asset's own id string,
+and each CVE id, CWE id and score is one object per distinct field text.
+Files repeat each id and CVE on every row that names it, so sharing keeps
+the copies out of memory and leaves adjacency and shared_cves a few
+thousand ids to look up, not tens of thousands of scattered copies.  A NaN
+score is never shared: two rows with their own NaN stay two records, but
+one shared NaN object would make them equal.
 
 Whitespace around each CSV field is dropped (str.strip), inside quotes too.
 The strip runs only on a file that may need it: one holding a non-ASCII
