@@ -44,12 +44,11 @@ quote, a backslash or a line break: the reports and the DOT export write
 ids as they are.  This is one of model's per-record rules, so
 validate_model flags such ids in a graph built in code too.
 
-Vulnerability requirement fields accept plain integers 1-3, or a CVSS
-base-vector string in the required_location field (e.g.
-"AV:N/AC:L/Au:N/C:C/I:C/A:C"), in which case the location is derived from
-the access vector (L/A/N -> 1/2/3), the capability from the access
-complexity (L/M/H -> 1/2/3) and the required_capability field must be
-left empty.
+Requirement fields are plain integers 1-3, or a CVSS base vector such as
+"AV:N/AC:L/Au:N/C:C/I:C/A:C" in required_location with required_capability
+empty: the location is then the access vector's level (L/A/N -> 1/2/3)
+and the capability the access complexity's (L/M/H -> 1/2/3).  Each pair
+of the two fields' texts is parsed once per load, as each score text is.
 """
 
 from __future__ import annotations
@@ -75,9 +74,6 @@ from attackcf.model import (
 
 _VULN_TYPE_TOKENS = {t.value: t for t in VulnType}
 _ASSET_KIND_TOKENS = {k.value: k for k in AssetKind}
-#: the requirement fields as nearly every file writes them; anything else
-#: takes the general parse and its messages
-_LEVEL_TOKENS = {"1": 1, "2": 2, "3": 3}
 
 _CONFIG_KEYS = frozenset(
     {
@@ -201,7 +197,7 @@ def load_assets(path) -> AbstractSet[Asset]:
 
 
 def _parse_requirements(path: Path, line_no: int, loc_field: str, cap_field: str):
-    """The requirement fields that are not both in _LEVEL_TOKENS."""
+    """A row's (location, capability): a CVSS vector's AV and AC levels, or two ints."""
     if "AV:" in loc_field:
         metrics = dict(
             part.split(":", 1) for part in loc_field.split("/") if ":" in part
@@ -244,6 +240,7 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
     known = {a.id: a.id for a in assets}
     texts: dict[str, str] = {}  # CVE and CWE id text -> its one string
     scores: dict[str, float] = {}  # score text -> its one float, NaN never
+    requirements: dict[tuple[str, str], tuple[int, int]] = {}  # field texts -> levels
     for line_no, (cve, aid, score_s, cwe, vtype, loc_s, cap_s) in _rows(
         path, _VULN_COLUMNS, "vulnerability"
     ):
@@ -263,10 +260,11 @@ def load_vulnerabilities(path, assets) -> AbstractSet[VulnerabilityInstance]:
                 f"{path}:{line_no}: unknown vuln_type {vtype!r}; accepted: "
                 + ", ".join(sorted(_VULN_TYPE_TOKENS))
             )
-        loc = _LEVEL_TOKENS.get(loc_s)
-        cap = _LEVEL_TOKENS.get(cap_s)
-        if loc is None or cap is None:
-            loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)
+        levels = requirements.get((loc_s, cap_s))
+        if levels is None:  # a bad pair raises before the store
+            levels = requirements[loc_s, cap_s] = _parse_requirements(
+                path, line_no, loc_s, cap_s)
+        loc, cap = levels
         # as in load_assets, _vulnerability_violations checks the record below
         vulns[tuple.__new__(VulnerabilityInstance, (
             texts.setdefault(cve, cve), known.get(aid, aid), score,

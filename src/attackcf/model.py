@@ -84,10 +84,11 @@ class Asset(NamedTuple):
     host: str | None = None
 
     def _sort_key(self):
-        # host may be None, which does not order against a str; the last
-        # item only parts None from "", so that input order never decides
+        # a None host keys as "" (the last item parts the two) and a non-member
+        # kind as its repr, equal to no member's value: input order never decides
         aid, name, kind, host = self
-        return (aid, name, kind._value_, host or "", host is not None)
+        kind = kind._value_ if type(kind) is AssetKind else repr(kind)
+        return (aid, name, kind, host or "", host is not None)
 
 
 class VulnerabilityInstance(NamedTuple):
@@ -107,9 +108,10 @@ class VulnerabilityInstance(NamedTuple):
     required_capability: int
 
     def _sort_key(self):
-        # as Asset's, for cwe_id
+        # as Asset's, for cwe_id and vuln_type
         cve, asset, score, cwe, vtype, loc, cap = self
-        return (cve, asset, score, cwe or "", vtype._value_, loc, cap, cwe is not None)
+        vtype = vtype._value_ if type(vtype) is VulnType else repr(vtype)
+        return (cve, asset, score, cwe or "", vtype, loc, cap, cwe is not None)
 
 
 def _sorted_records(records, key) -> tuple:

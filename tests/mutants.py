@@ -45,11 +45,20 @@ class Mutant(NamedTuple):
 
 INGEST = "src/attackcf/ingest.py"
 MODEL = "src/attackcf/model.py"
+PREDICTION = "src/attackcf/prediction.py"
+SIMILARITY = "src/attackcf/similarity.py"
 PADDED = "tests/test_ingest.py::TestPaddedFiles"
 PADDED_CLI = "tests/test_cli.py::test_padded_demo_files_give_the_demo_outputs"
 SHARED = "tests/test_ingest.py::TestSharedValues"
 VALIDATE = "tests/test_model.py::TestValidateModel"
 ENUM_CLI = "tests/test_cli.py::test_model_check_rejects_enum_text_in_a_graph_built_in_code"
+LOAD_VULNS = "tests/test_ingest.py::TestLoadVulnerabilities"
+#: load_vulnerabilities' memo of parsed requirement pairs
+REQUIREMENTS = ("        levels = requirements.get((loc_s, cap_s))\n"
+                "        if levels is None:  # a bad pair raises before the store\n"
+                "            levels = requirements[loc_s, cap_s] = _parse_requirements(\n"
+                "                path, line_no, loc_s, cap_s)\n"
+                "        loc, cap = levels\n")
 
 MUTANTS = [
     Mutant("strip never", INGEST,
@@ -71,10 +80,14 @@ MUTANTS = [
            "yield line_no, (map(str.strip, row) if strip else row)",
            "yield line_no + (not strip), (map(str.strip, row) if strip else row)",
            (PADDED,)),
-    Mutant("no _parse_requirements fallback", INGEST,
-           "        if loc is None or cap is None:\n"
-           "            loc, cap = _parse_requirements(path, line_no, loc_s, cap_s)\n", "",
-           ("tests/test_ingest.py::TestLoadVulnerabilities",)),
+    Mutant("the requirement memo never stores", INGEST,
+           "levels = requirements[loc_s, cap_s] = _parse_requirements(",
+           "levels = _parse_requirements(",
+           (LOAD_VULNS,)),
+    Mutant("the requirement memo is keyed on the location alone", INGEST,
+           REQUIREMENTS, REQUIREMENTS.replace("(loc_s, cap_s)", "loc_s")
+                                     .replace("[loc_s, cap_s]", "[loc_s]"),
+           (LOAD_VULNS,)),
     Mutant("edges keep their own strings", INGEST,
            "edges[known.get(src, src), known.get(dst, dst)] = line_no",
            "edges[src, dst] = line_no",
@@ -107,6 +120,34 @@ MUTANTS = [
     Mutant("the vuln_type rule dropped", MODEL,
            "if type(vtype) is not VulnType:", "if False:",
            (VALIDATE,)),
+    Mutant("the sort key reads a text kind's _value_", MODEL,
+           "kind = kind._value_ if type(kind) is AssetKind else repr(kind)",
+           "kind = kind._value_",
+           (VALIDATE,)),
+    Mutant("the empty-id branch dropped", MODEL,
+           "        if not aid:", "        if False:",
+           ("tests/test_model.py",)),
+    Mutant("the unsafe-id branch dropped", MODEL,
+           "elif _UNSAFE_ID.search(aid):", "elif False:",
+           ("tests/test_ingest.py",)),
+    Mutant("the attacker check dropped", MODEL,
+           "if not isinstance(attacker, AttackerProfile):", "if False:",
+           ("tests/test_model.py",)),
+    Mutant("a lenient discover", "src/attackcf/discovery.py",
+           "        if missing:", "        if False:",
+           ("tests/test_discovery.py",)),
+    Mutant("_sum starts from -0.0", SIMILARITY,
+           "    s = 0.0", "    s = -0.0",
+           ("tests/test_similarity.py",)),
+    Mutant("pcc skips its scaling rerun", SIMILARITY,
+           "dx, dy, denom = _deviations(_unit_scaled(xs), _unit_scaled(ys))", "pass",
+           ("tests/test_similarity.py",)),
+    Mutant("no demotion", PREDICTION,
+           "(min(base, Classification.HIGH),", "(base,",
+           ("tests/test_prediction.py",)),
+    Mutant("HIGH ignores type agreement", PREDICTION,
+           "if config.x2 <= n < config.x1 and types_agree:", "if config.x2 <= n < config.x1:",
+           ("tests/test_prediction.py",)),
     # the distance bound only prunes: a looser bound or none gives the same
     # paths, more slowly (up to +36 % on the paper topology at L = 10), and no
     # test counts the DFS's work yet

@@ -265,7 +265,7 @@ class TestLoadVulnerabilities:
     ])
     def test_other_integer_spellings_still_parse(self, tmp_path, base_assets,
                                                  loc, cap, expected):
-        # only exact "1", "2" and "3" take the lookup; the rest parse with int()
+        # int() reads each field, so spellings other than "1", "2" and "3" load too
         path = _write(tmp_path, "v.csv", VULN_HEADER + f"CVE-1,A1,5,CWE-1,XSS,{loc},{cap}\n")
         (v,) = load_vulnerabilities(path, base_assets)
         assert (v.required_location, v.required_capability) == expected
@@ -275,7 +275,7 @@ class TestLoadVulnerabilities:
                                 "AV:N/AC:M", "av:l/ac:h", "AV:Q/AC:L"]),
            cap=st.sampled_from(["1", "2", "3", "0", "9", "+3", "\u0661", "x", ""]))
     def test_requirement_lookup_agrees_with_the_general_parse(self, loc, cap):
-        # the loader looks exact "1", "2" and "3" up and parses every other pair
+        # the loader parses each distinct pair once and looks its repeats up
         with tempfile.TemporaryDirectory() as tmp:
             path = _write(Path(tmp), "v.csv", VULN_HEADER + f"C1,A1,5,,XSS,{loc},{cap}\n")
             try:
@@ -291,6 +291,45 @@ class TestLoadVulnerabilities:
             assert got.endswith(" outside {1,2,3}")  # the record rule, once the row parses
         else:
             assert got == expected
+
+    def test_each_distinct_requirement_pair_parses_once(self, tmp_path, base_assets,
+                                                         monkeypatch):
+        calls = []
+
+        def counted(path, line_no, loc, cap):
+            calls.append((line_no, loc, cap))
+            return _parse_requirements(path, line_no, loc, cap)
+
+        monkeypatch.setattr("attackcf.ingest._parse_requirements", counted)
+        vector = "AV:A/AC:L/Au:N/C:P/I:P/A:P"
+        rows = "".join(f"CVE-{i},A1,5,CWE-1,XSS,{vector},\nCVE-{i},A1,5,CWE-1,XSS,3,2\n"
+                       for i in range(3))
+        vulns = load_vulnerabilities(_write(tmp_path, "v.csv", VULN_HEADER + rows),
+                                     base_assets)
+        assert calls == [(2, vector, ""), (3, "3", "2")]
+        assert [(v.required_location, v.required_capability) for v in vulns] == [
+            (2, 1), (3, 2)] * 3
+
+    def test_pairs_that_share_a_location_stay_apart(self, tmp_path, base_assets):
+        path = _write(tmp_path, "v.csv", VULN_HEADER
+                      + "CVE-1,A1,5,CWE-1,XSS,3,2\nCVE-1,A1,5,CWE-1,XSS,3,3\n")
+        vulns = load_vulnerabilities(path, base_assets)
+        assert [(v.required_location, v.required_capability) for v in vulns] == [
+            (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("good, bad, message", [
+        ("AV:N/AC:L,", "AV:N/AC:L,2", "required_capability must be empty when a "
+                                       "CVSS vector supplies both requirements"),
+        ("3,2", "3,x", "field required_capability must be an integer or a CVSS "
+                       "vector, got 'x'"),
+    ], ids=["vector", "integers"])
+    def test_a_bad_pair_after_good_ones_reports_its_own_line(self, tmp_path, base_assets,
+                                                             good, bad, message):
+        path = _write(tmp_path, "v.csv", VULN_HEADER + f"CVE-1,A1,5,CWE-1,XSS,{good}\n"
+                      + f"CVE-2,A1,5,CWE-1,XSS,{good}\nCVE-3,A1,5,CWE-1,XSS,{bad}\n")
+        with pytest.raises(IngestError) as exc:
+            load_vulnerabilities(path, base_assets)
+        assert str(exc.value) == f"{path}:4: {message}"
 
     def test_iterates_in_file_order_without_exact_repeats(self, tmp_path, base_assets):
         path = _write(tmp_path, "v.csv", VULN_HEADER

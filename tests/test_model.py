@@ -185,6 +185,28 @@ class TestValidateModel:
             "vulnerability CVE-1 on  has vuln_type 'XSS', not a VulnType member",
         ]
 
+    def test_kind_text_beside_its_member_builds(self):
+        # the records tie up to kind, so the plain sort raises and _sort_key
+        # decides: it must not read _value_ off the text
+        text, member = Asset("A1", "a", "hardware"), Asset("A1", "a", AssetKind.HARDWARE)
+        graph = AssetGraph([text, member])
+        assert graph == AssetGraph([member, text])
+        assert graph.assets == (text, member)
+        assert validate_model(graph) == [
+            "duplicate asset id A1",
+            "asset A1 has kind 'hardware', not an AssetKind member",
+        ]
+
+    def test_vuln_type_text_beside_its_member_builds(self):
+        text, member = _vuln(vtype="XSS"), _vuln(vtype=VulnType.XSS)
+        graph = AssetGraph([Asset("A1", "a", AssetKind.HARDWARE)], [text, member])
+        assert graph == AssetGraph(graph.assets, [member, text])
+        assert graph.vulnerabilities == (text, member)
+        assert validate_model(graph) == [
+            "vulnerability CVE-1 on A1 has vuln_type 'XSS', not a VulnType member",
+            "duplicate vulnerability instance CVE-1 on A1",
+        ]
+
     def test_every_rule_broken_once_in_order(self):
         graph = AssetGraph(
             assets=[
