@@ -26,7 +26,7 @@ The loaded records hold one object per distinct value: every asset id, in
 a host, a vulnerability row or an edge end, is the asset's own id string,
 and each CVE id, CWE id and score is one object per distinct field text.
 Files repeat each id and CVE on every row that names it, so sharing keeps
-the copies out of memory and leaves adjacency and shared_cves a few
+the copies out of memory and leaves adjacency and pair_grades a few
 thousand ids to look up, not tens of thousands of scattered copies.  A NaN
 score is never shared: two rows with their own NaN stay two records, but
 one shared NaN object would make them equal.

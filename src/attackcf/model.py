@@ -27,12 +27,15 @@ a bad config is an operator error, not a data-quality finding.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import combinations, groupby, pairwise
-from operator import attrgetter
+from itertools import combinations, count, groupby, pairwise, repeat
+from operator import eq, floordiv, itemgetter, mod
 from typing import NamedTuple
+
+from attackcf import similarity
 
 
 class AssetKind(Enum):
@@ -120,12 +123,22 @@ def _sorted_records(records, key) -> tuple:
     compares them in C.  A tuple comparison is decided at the first unequal
     field, where the key holds the same value, unless that field holds a
     None or an enum member: then the plain sort raises TypeError, and the
-    key decides.  So a plain sort that finishes gives the key's order."""
+    key decides.  So for records whose enum fields hold members, as every
+    loaded record's do, a plain sort that finishes gives the key's order.
+    A non-member enum field, which validate_model reports, is keyed by its
+    repr but compared by value: texts that hold a quote or a backslash, and
+    ints, may then sort otherwise than the key would sort them."""
     distinct = dict.fromkeys(records)
     try:
         return tuple(sorted(distinct))
     except TypeError:
         return tuple(sorted(distinct, key=key))
+
+
+def _edge_sort_key(edge):
+    # as Asset's, for both ends
+    src, dst = edge
+    return (src or "", dst or "", src is not None, dst is not None)
 
 
 class Adjacency(NamedTuple):
@@ -142,6 +155,25 @@ class Adjacency(NamedTuple):
     vulns: list[list[VulnerabilityInstance]]
 
 
+class _PairGrades(NamedTuple):
+    """Graph index of the asset pairs that share a CVE, built for predict.
+
+    Every unordered pair is graded once: co_rated counts the CVEs both
+    assets carry, the types agree when one of them has the same CWE id on
+    both (absent CWE data never counts as the same), and similarity and
+    degenerate are similarity.pcc's over the pair's scores.  The columns
+    list both directions of each pair in (src, dst) order: row k is
+    srcs[k] -> dsts[k], and grades[grade[k]] is its (co_rated, types
+    agree), one entry per distinct grade in order of first use."""
+
+    srcs: list[str]
+    dsts: list[str]
+    grade: list[int]
+    similarity: list[float]
+    degenerate: list[bool]
+    grades: list[tuple[int, bool]]
+
+
 @dataclass(frozen=True)
 class AssetGraph:
     """Immutable asset graph: assets, vulnerability instances, reachability edges.
@@ -150,8 +182,8 @@ class AssetGraph:
     tuples so that structurally equal models compare equal regardless of
     input order.  Two lookups are built on first use, once per graph, and
     shared: adjacency (discover's configured-id check, entry eligibility,
-    the BFS and the DFS) and shared_cves (predict).  Building adjacency
-    raises KeyError for an edge to a missing asset; shared_cves skips
+    the BFS and the DFS) and pair_grades (predict).  Building adjacency
+    raises KeyError for an edge to a missing asset; pair_grades skips
     records on one.  validate_model reads only the records.
     """
 
@@ -166,7 +198,7 @@ class AssetGraph:
         object.__setattr__(self, "assets", _sorted_records(assets, Asset._sort_key))
         object.__setattr__(self, "vulnerabilities",
                            _sorted_records(vulnerabilities, VulnerabilityInstance._sort_key))
-        object.__setattr__(self, "edges", tuple(sorted(dict.fromkeys(edges))))
+        object.__setattr__(self, "edges", _sorted_records(edges, _edge_sort_key))
 
     @cached_property
     def adjacency(self) -> Adjacency:
@@ -187,26 +219,76 @@ class AssetGraph:
         return Adjacency(ids, index, succ, pred, vulns)
 
     @cached_property
-    def shared_cves(self) -> tuple[tuple[str, str, tuple[tuple[float, float, bool], ...]], ...]:
-        """(a, b, rows) for each asset pair sharing a CVE, sorted by (a, b)
-        with a < b.  rows holds one (score on a, score on b, same CWE) per
-        shared CVE, in CVE order; absent CWE data never counts as the same.
+    def pair_grades(self) -> _PairGrades:
+        """Every asset pair sharing a CVE, graded once; see _PairGrades.
+
         When one asset carries the same CVE twice, the record that sorts
         last by VulnerabilityInstance._sort_key supplies its score and CWE;
-        validate_model flags such input, so the CLI rejects it.
+        validate_model flags such input, so the CLI rejects it.  Records on
+        assets missing from the graph are skipped.  A pair sharing one CVE
+        scores 0.0 and is not degenerate; a pair sharing more is graded by
+        similarity.pcc, looked up on the module so that a wrapper installed
+        there sees each call.
 
-        One pass over the CVEs; assets missing from the graph are skipped.
+        Nothing built here holds a GC-tracked object per pair, except the
+        list of a pair sharing 2+ CVEs: pairs are int keys i * n + j over
+        the ascending ids, shared CVEs int positions into the records, and
+        the columns hold the graph's id strings, floats and bools.
         """
-        known = {a.id for a in self.assets}
-        shared: dict[tuple[str, str], list[tuple[float, float, bool]]] = {}
-        for _, group in groupby(self.vulnerabilities, key=attrgetter("cve_id")):
+        # assets sort by id, so ids ascend and key order is (src, dst) order
+        ids = tuple(dict.fromkeys(a.id for a in self.assets))
+        index = {aid: i for i, aid in enumerate(ids)}
+        records = self.vulnerabilities
+        n, m = len(ids), len(records)
+        # pair key i * n + j (i < j) -> the positions p * m + q of its first
+        # shared CVE's records on ids[i] and ids[j]; more holds them all for
+        # a pair sharing 2+ CVEs, in CVE order
+        first: dict[int, int] = {}
+        more: dict[int, list[int]] = {}
+        positions = count()  # zip draws a record first, so this stays in step
+        for _, group in groupby(records, key=itemgetter(0)):  # by cve_id
             # records sort by (cve, asset, ...): each asset's last record, in id order
-            holders = {v.asset: v for v in group if v.asset in known}
-            for va, vb in combinations(holders.values(), 2):
-                shared.setdefault((va.asset, vb.asset), []).append(
-                    (va.score, vb.score, va.cwe_id is not None and va.cwe_id == vb.cwe_id))
-        # pop frees each pair's list once its tuple is built
-        return tuple((a, b, tuple(shared.pop((a, b)))) for a, b in sorted(shared))
+            holders = {v[1]: p for v, p in zip(group, positions) if v[1] in index}
+            for (a, p), (b, q) in combinations(holders.items(), 2):
+                key, held = index[a] * n + index[b], p * m + q
+                if first.setdefault(key, held) != held:
+                    more.setdefault(key, [first[key]]).append(held)
+
+        keys = sorted(first)
+        k = len(keys)
+        shared = list(map(first.__getitem__, keys))  # each pair's first shared CVE
+        # absent CWE data never counts as agreement: it reads as its own
+        # record's position, which equals no CWE id and no other record's
+        cwes = [p if cwe is None else cwe for p, cwe in enumerate(map(itemgetter(3), records))]
+        agree = list(map(eq, map(cwes.__getitem__, map(floordiv, shared, repeat(m))),
+                         map(cwes.__getitem__, map(mod, shared, repeat(m)))))
+        co_rated, value, degenerate = [1] * k, [0.0] * k, [False] * k
+        scores = list(map(itemgetter(2), records))
+        for key in sorted(more):
+            ps, qs = zip(*map(divmod, more[key], repeat(m)))
+            slot = bisect_left(keys, key)
+            co_rated[slot] = len(ps)
+            agree[slot] = any(map(eq, map(cwes.__getitem__, ps), map(cwes.__getitem__, qs)))
+            value[slot], degenerate[slot] = similarity.pcc(
+                list(zip(map(scores.__getitem__, ps), map(scores.__getitem__, qs))))
+        grades = list(dict.fromkeys(zip(co_rated, agree)))
+        grade = list(map({g: i for i, g in enumerate(grades)}.__getitem__, zip(co_rated, agree)))
+
+        # both directions of each pair, in (src, dst) order: entry x < k of
+        # a doubled column is pair x as lo -> hi, entry x + k the same pair
+        # as hi -> lo
+        lo = list(map(ids.__getitem__, map(floordiv, keys, repeat(n))))
+        hi = list(map(ids.__getitem__, map(mod, keys, repeat(n))))
+        both = keys + [key % n * n + key // n for key in keys]
+        order = sorted(range(2 * k), key=both.__getitem__)
+        return _PairGrades(
+            srcs=list(map((lo + hi).__getitem__, order)),
+            dsts=list(map((hi + lo).__getitem__, order)),
+            grade=list(map((grade * 2).__getitem__, order)),
+            similarity=list(map((value * 2).__getitem__, order)),
+            degenerate=list(map((degenerate * 2).__getitem__, order)),
+            grades=grades,
+        )
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,22 @@ A final rearrangement pass then consults the discovered attack paths:
 a pair with a discovered path entry->target is promoted to very high,
 and a very-high pair without one is demoted to high.
 
-The CVEs each asset pair shares come from AssetGraph.shared_cves, built
-at most once per graph, so every predict call on one graph shares it.  A
-pair's similarity is the Pearson correlation (similarity.pcc) of its
-scores over those CVEs; a pair sharing one CVE scores 0.0 and is not
+Each pair's shared-CVE count, type agreement and similarity come from
+AssetGraph.pair_grades, which grades every pair at most once per graph,
+so every predict call on one graph shares the grading.  A pair's
+similarity is the Pearson correlation (similarity.pcc) of its scores over
+the CVEs it shares; a pair sharing one CVE scores 0.0 and is not
 degenerate.  Its similarity, co-rated count and degenerate flag are fields
 of the two Predictions predict builds for it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
+from operator import itemgetter
 
-from attackcf import similarity
 from attackcf.discovery import DiscoveryResult
 from attackcf.model import AssetGraph, Classification, Prediction, PredictionConfig
 
@@ -69,36 +70,28 @@ def predict(
     on different tiers.  Predictions are sorted by tier descending, then
     src, then dst.
     """
-    path_endpoints = {(p.entry, p.target) for p in result.paths}
-    # A pair's tiers depend only on (co_rated, types agree), and few pairs
-    # differ in it: tiers maps each distinct input, classified once, to the
-    # pair's tier off every path (very high drops to high) and on a path.
-    tiers: dict[tuple[int, bool], tuple[Classification, Classification]] = {}
+    grades = graph.pair_grades
+    # A pair's tiers depend only on its grade, (co_rated, types agree), and
+    # few pairs differ in it: each grade is classified once, to its tier off
+    # every path, where very high drops to high
+    off_path = [min(classify_pair(n, agree, config), Classification.HIGH)
+                for n, agree in grades.grades]
+    levels = list(map(off_path.__getitem__, grades.grade))
+    # a pair with a discovered path entry -> target rises to very high; the
+    # columns list pairs in (src, dst) order, so a bisection finds it
+    srcs, dsts = grades.srcs, grades.dsts
+    for entry, target in {(p.entry, p.target) for p in result.paths}:
+        lo = bisect_left(srcs, entry)
+        hi = bisect_right(srcs, entry, lo)
+        i = bisect_left(dsts, target, lo, hi)
+        if i < hi and dsts[i] == target:
+            levels[i] = Classification.VERY_HIGH
 
-    # by_tier[level][src] holds src's predictions at that tier.  Pairs come
-    # sorted by (a, b) with a < b, so every asset meets its partners in
-    # ascending order: first those below it, as b, then those above it, as a.
-    # As a != b, the predictions skip Prediction's check.
-    by_tier = [defaultdict(list) for _ in range(max(Classification) + 1)]
-    new = tuple.__new__
-    for a, b, rows in graph.shared_cves:
-        co_rated = len(rows)
-        if co_rated == 1:
-            value, degenerate, agree = 0.0, False, rows[0][2]
-        else:
-            # looked up on the module, so a wrapper installed there sees each call
-            value, degenerate = similarity.pcc([row[:2] for row in rows])
-            agree = any(row[2] for row in rows)
-        pair_tiers = tiers.get((co_rated, agree))
-        if pair_tiers is None:
-            base = classify_pair(co_rated, agree, config)
-            pair_tiers = tiers[co_rated, agree] = (min(base, Classification.HIGH),
-                                                   Classification.VERY_HIGH)
-        for src, dst in ((a, b), (b, a)):
-            level = pair_tiers[(src, dst) in path_endpoints]
-            by_tier[level][src].append(
-                new(Prediction, (src, dst, level, value, co_rated, degenerate)))
-
-    predictions = tuple(chain.from_iterable(
-        by_src[src] for by_src in reversed(by_tier) for src in sorted(by_src)))
-    return PredictionReport(predictions=predictions, config_echo=config)
+    # As src != dst in every pair, the predictions skip Prediction's check.
+    # A stable sort on the tier alone keeps (src, dst) order within a tier.
+    co_rated = [n for n, _ in grades.grades]
+    predictions = list(map(tuple.__new__, repeat(Prediction), zip(
+        srcs, dsts, levels, grades.similarity, map(co_rated.__getitem__, grades.grade),
+        grades.degenerate)))
+    predictions.sort(key=itemgetter(2), reverse=True)
+    return PredictionReport(predictions=tuple(predictions), config_echo=config)

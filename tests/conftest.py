@@ -142,14 +142,14 @@ def per_pair_reference(graph, result, config):
     oracles.same_type and classify_pair on every asset pair, the
     rearrangement rule written out, then one keyed sort into report order.
     The oracles rebuild each pair's CVEs from graph.vulnerabilities, so they
-    share no code with the package's AssetGraph.shared_cves index."""
+    share no code with the package's AssetGraph.pair_grades index."""
     import oracles
     from attackcf.model import Classification, Prediction
     from attackcf.prediction import classify_pair
     from attackcf.similarity import pcc
 
     ends = {(p.entry, p.target) for p in result.paths}
-    ids = sorted(a.id for a in graph.assets)
+    ids = sorted({a.id for a in graph.assets})  # an id may name several assets
     sims, preds = [], []
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:

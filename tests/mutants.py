@@ -143,11 +143,23 @@ MUTANTS = [
            "dx, dy, denom = _deviations(_unit_scaled(xs), _unit_scaled(ys))", "pass",
            ("tests/test_similarity.py",)),
     Mutant("no demotion", PREDICTION,
-           "(min(base, Classification.HIGH),", "(base,",
+           "[min(classify_pair(n, agree, config), Classification.HIGH)",
+           "[classify_pair(n, agree, config)",
+           ("tests/test_prediction.py",)),
+    Mutant("the endpoint promotion dropped", PREDICTION,
+           "levels[i] = Classification.VERY_HIGH", "pass",
+           ("tests/test_prediction.py",)),
+    Mutant("absent CWEs count as agreeing in pair_grades", MODEL,
+           "cwes = [p if cwe is None else cwe for p, cwe in enumerate(map(itemgetter(3), records))]",
+           "cwes = list(map(itemgetter(3), records))",
            ("tests/test_prediction.py",)),
     Mutant("HIGH ignores type agreement", PREDICTION,
            "if config.x2 <= n < config.x1 and types_agree:", "if config.x2 <= n < config.x1:",
            ("tests/test_prediction.py",)),
+    Mutant("the zero-sign fallback dropped", "src/attackcf/report.py",
+           "if similarity == 0 and len(set(map(copysign, repeat(1.0), map(itemgetter(3), run)))) > 1:",
+           "if False:",
+           ("tests/test_report.py",)),
     # the distance bound only prunes: a looser bound or none gives the same
     # paths, more slowly (up to +36 % on the paper topology at L = 10), and no
     # test counts the DFS's work yet

@@ -50,6 +50,14 @@ class TestValidateModel:
         )
         assert validate_model(graph) == ["edge references missing asset X9"]
 
+    def test_edge_to_a_none_end_beside_a_str_end(self):
+        # None does not order against a str: the edges' keyed sort must decide
+        assets = [Asset("A", "a", AssetKind.HARDWARE), Asset("B", "b", AssetKind.HARDWARE)]
+        for edges in ([("A", None), ("A", "B")], [("A", "B"), ("A", None)]):
+            graph = AssetGraph(assets, [], edges)
+            assert graph.edges == (("A", None), ("A", "B"))
+            assert validate_model(graph) == ["edge references missing asset None"]
+
     def test_reads_only_the_records_and_caches_nothing(self):
         # H's first asset, by the graph's sort, is software: the host rule
         # reads that one, whatever kind a later repeat has

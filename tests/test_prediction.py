@@ -2,6 +2,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attackcf import model, prediction, similarity
 from attackcf.bench import SynthSpec, generate
@@ -51,13 +52,14 @@ def _empty_result() -> DiscoveryResult:
 
 
 def _package_same_type(a, b, graph):
-    """Type agreement of a < b as the package's shared_cves index records it."""
-    rows = next((rows for x, y, rows in graph.shared_cves if (x, y) == (a, b)), ())
-    return any(row[2] for row in rows)
+    """Type agreement of a -> b as the package's pair_grades index records it."""
+    grades = graph.pair_grades
+    rows = [k for k, pair in enumerate(zip(grades.srcs, grades.dsts)) if pair == (a, b)]
+    return any(grades.grades[grades.grade[k]][1] for k in rows)
 
 
 class TestSameType:
-    """oracles.same_type, and the package's shared_cves agreeing with it."""
+    """oracles.same_type, and the package's pair_grades agreeing with it."""
 
     def test_shared_cves_with_matching_cwe(self, office):
         assert oracles.same_type("A1", "A2", office)
@@ -273,7 +275,8 @@ class TestPredict:
 
     def test_grades_through_the_module_pcc(self, monkeypatch, office):
         # perfbench's tracer times pcc by replacing attackcf.similarity.pcc,
-        # so predict must look it up there, once per pair sharing 2+ CVEs
+        # so the grading must look it up there, once per pair sharing 2+
+        # CVEs on the graph's first predict and never again on that graph
         calls = []
         original = similarity.pcc
 
@@ -285,10 +288,10 @@ class TestPredict:
         g = _graph_from_cells({("X", "C1"): 1.0, ("Y", "C1"): 2.0, ("Z", "C1"): 3.0,
                                ("X", "C2"): 4.0, ("Y", "C2"): 5.0})
         for graph, graded in ((office, [4, 3, 3]), (g, [2])):
-            for _ in range(2):
+            for expected in (graded, []):
                 calls.clear()
                 predict(graph, _empty_result(), DEFAULTS)
-                assert calls == graded
+                assert calls == expected
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_reference_on_random_models(self, seed):
@@ -428,6 +431,51 @@ class TestPredictTierLookup:
             (n, agree) for n in range(1, config.x1 + 2) for agree in (False, True))
         # low needs co_rated < x3, which x3 = 1 leaves to pairs sharing no CVE
         assert len({p.level for p in report.predictions}) == (5 if config.x3 > 1 else 4)
+
+
+# ids where one is a prefix of another; X9 is never an asset
+_IDS = ["A", "A1", "A10", "A2", "B"]
+
+
+@st.composite
+def _random_analyses(draw):
+    """A small graph with repeated asset ids, records on unknown assets and
+    pairs sharing several CVEs with and without CWE data; random paths,
+    some between assets that share no CVE; and the thresholds."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=7))
+    assets = [Asset(aid, f"n{k}", AssetKind.HARDWARE) for k, aid in enumerate(ids)]
+    vulns = draw(st.lists(st.builds(
+        VulnerabilityInstance, st.sampled_from(["C1", "C2", "C3", "C4"]),
+        st.sampled_from(_IDS + ["X9"]), st.sampled_from([0.0, 2.5, 5.0, 10.0]),
+        st.sampled_from([None, "CWE-1", "CWE-2"]), st.just(VulnType.XSS),
+        st.just(1), st.just(1)), max_size=24))
+    ends = draw(st.lists(st.tuples(st.sampled_from(_IDS + ["X9"]), st.sampled_from(_IDS))
+                         .filter(lambda e: e[0] != e[1]), max_size=5))
+    # whether the first and the last row of the columns get a path too
+    first_row, last_row = draw(st.booleans()), draw(st.booleans())
+    config = draw(st.sampled_from([PredictionConfig(), PredictionConfig(3, 2, 1, 0),
+                                   PredictionConfig(4, 3, 2, 1)]))
+    return AssetGraph(assets, vulns), ends, first_row, last_row, config
+
+
+class TestPredictOnRandomGraphs:
+    @settings(max_examples=300, deadline=None)
+    @given(_random_analyses())
+    def test_matches_per_pair_reference_in_order(self, analysis):
+        graph, ends, first_row, last_row, config = analysis
+        # the reference's first and last rows in (src, dst) order are the
+        # first and last rows of pair_grades' columns
+        _, unpromoted = per_pair_reference(graph, _empty_result(), config)
+        rows = sorted((p.src, p.dst) for p in unpromoted)
+        ends = ends + ([rows[0]] if rows and first_row else []) + (
+            [rows[-1]] if rows and last_row else [])
+        result = DiscoveryResult(paths=tuple(AttackPath(e) for e in sorted(set(ends))))
+
+        sims, expected = per_pair_reference(graph, result, config)
+        report = predict(graph, result, config)
+        assert report.predictions == tuple(expected)
+        assert all(type(p) is Prediction for p in report.predictions)
+        assert pair_similarities(graph) == sims
 
 
 class TestPredictAtScale:
