@@ -231,52 +231,58 @@ class AssetGraph:
         there sees each call.
 
         Nothing built here holds a GC-tracked object per pair, except the
-        list of a pair sharing 2+ CVEs: pairs are int keys i * n + j over
-        the ascending ids, shared CVEs int positions into the records, and
-        the columns hold the graph's id strings, floats and bools.
+        list of position tuples of a pair sharing 2+ CVEs: pairs are int
+        keys i * n + j over the ascending ids, shared CVEs int positions
+        into the records, and the columns hold the graph's id strings,
+        floats and bools.  So the build starts no collection, and predict's
+        later ones find no pair to traverse.  It is also faster to build,
+        with collection off, than a tuple per pair and direction.
         """
         # assets sort by id, so ids ascend and key order is (src, dst) order
         ids = tuple(dict.fromkeys(a.id for a in self.assets))
         index = {aid: i for i, aid in enumerate(ids)}
+        n = len(ids)
         records = self.vulnerabilities
-        n, m = len(ids), len(records)
-        # pair key i * n + j (i < j) -> the positions p * m + q of its first
-        # shared CVE's records on ids[i] and ids[j]; more holds them all for
-        # a pair sharing 2+ CVEs, in CVE order
-        first: dict[int, int] = {}
-        more: dict[int, list[int]] = {}
+        # pair key i * n + j (i < j) -> the positions in records of its first
+        # shared CVE on ids[i] (on_i) and on ids[j] (on_j); more lists the
+        # positions of every CVE a pair sharing 2+ shares, in CVE order
+        on_i: dict[int, int] = {}
+        on_j: dict[int, int] = {}
+        more: dict[int, list[tuple[int, int]]] = {}
         positions = count()  # zip draws a record first, so this stays in step
         for _, group in groupby(records, key=itemgetter(0)):  # by cve_id
             # records sort by (cve, asset, ...): each asset's last record, in id order
             holders = {v[1]: p for v, p in zip(group, positions) if v[1] in index}
             for (a, p), (b, q) in combinations(holders.items(), 2):
-                key, held = index[a] * n + index[b], p * m + q
-                if first.setdefault(key, held) != held:
-                    more.setdefault(key, [first[key]]).append(held)
+                key = index[a] * n + index[b]
+                if key not in on_i:
+                    on_i[key], on_j[key] = p, q
+                else:
+                    more.setdefault(key, [(on_i[key], on_j[key])]).append((p, q))
 
-        keys = sorted(first)
+        # grade each pair: entry x of a column is pair keys[x]'s
+        keys = sorted(on_i)
         k = len(keys)
-        shared = list(map(first.__getitem__, keys))  # each pair's first shared CVE
         # absent CWE data never counts as agreement: it reads as its own
         # record's position, which equals no CWE id and no other record's
         cwes = [p if cwe is None else cwe for p, cwe in enumerate(map(itemgetter(3), records))]
-        agree = list(map(eq, map(cwes.__getitem__, map(floordiv, shared, repeat(m))),
-                         map(cwes.__getitem__, map(mod, shared, repeat(m)))))
+        agree = list(map(eq, map(cwes.__getitem__, map(on_i.__getitem__, keys)),
+                         map(cwes.__getitem__, map(on_j.__getitem__, keys))))
         co_rated, value, degenerate = [1] * k, [0.0] * k, [False] * k
         scores = list(map(itemgetter(2), records))
         for key in sorted(more):
-            ps, qs = zip(*map(divmod, more[key], repeat(m)))
-            slot = bisect_left(keys, key)
-            co_rated[slot] = len(ps)
-            agree[slot] = any(map(eq, map(cwes.__getitem__, ps), map(cwes.__getitem__, qs)))
-            value[slot], degenerate[slot] = similarity.pcc(
+            ps, qs = zip(*more[key])
+            x = bisect_left(keys, key)
+            co_rated[x] = len(ps)
+            agree[x] = any(map(eq, map(cwes.__getitem__, ps), map(cwes.__getitem__, qs)))
+            value[x], degenerate[x] = similarity.pcc(
                 list(zip(map(scores.__getitem__, ps), map(scores.__getitem__, qs))))
         grades = list(dict.fromkeys(zip(co_rated, agree)))
         grade = list(map({g: i for i, g in enumerate(grades)}.__getitem__, zip(co_rated, agree)))
 
-        # both directions of each pair, in (src, dst) order: entry x < k of
-        # a doubled column is pair x as lo -> hi, entry x + k the same pair
-        # as hi -> lo
+        # a row per direction, in (src, dst) order: entry x < k of a doubled
+        # column is pair x as i -> j, entry x + k the same pair as j -> i,
+        # and order lists the entries by row key src * n + dst
         lo = list(map(ids.__getitem__, map(floordiv, keys, repeat(n))))
         hi = list(map(ids.__getitem__, map(mod, keys, repeat(n))))
         both = keys + [key % n * n + key // n for key in keys]

@@ -8,10 +8,6 @@ similarity as repr(float), so a reader can rebuild the list exactly.
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
-from math import copysign
-from operator import itemgetter
-
 from attackcf.discovery import DiscoveryResult
 from attackcf.model import AssetGraph, AssetKind, AttackPath, Classification
 from attackcf.prediction import PredictionReport
@@ -51,25 +47,12 @@ def format_prediction_report(report: PredictionReport) -> str:
         f"# n_predictions={len(report.predictions)}",
         PREDICT_HEADER,
     ]
-    # Consecutive predictions that differ only in src and dst, as most of
-    # a tier's do, share the text after "src,dst,": it is formatted once per
-    # run.  Equal fields of Prediction's types print alike, but for a zero's
-    # sign: 0.0 == -0.0, so a zero run that mixes the signs goes row by row.
-    for (_, similarity, *_), run in groupby(report.predictions, key=itemgetter(2, 3, 4, 5)):
-        run = list(run)
-        if similarity == 0 and len(set(map(copysign, repeat(1.0), map(itemgetter(3), run)))) > 1:
-            for p in run:
-                lines += _prediction_rows((p,))
-        else:
-            lines += _prediction_rows(run)
+    lines += [
+        f"{src},{dst},{_LEVEL_TOKENS[level]},{co_rated},"
+        f"{similarity!r},{'true' if degenerate else 'false'}"
+        for src, dst, level, similarity, co_rated, degenerate in report.predictions
+    ]
     return "\n".join(lines) + "\n"
-
-
-def _prediction_rows(run):
-    """The report rows of predictions whose fields past src and dst print alike."""
-    _, _, level, similarity, co_rated, degenerate = run[0]
-    tail = f"{_LEVEL_TOKENS[level]},{co_rated},{similarity!r},{'true' if degenerate else 'false'}"
-    return map(",".join, zip(map(itemgetter(0), run), map(itemgetter(1), run), repeat(tail)))
 
 
 def _quote(s: str) -> str:

@@ -156,10 +156,6 @@ MUTANTS = [
     Mutant("HIGH ignores type agreement", PREDICTION,
            "if config.x2 <= n < config.x1 and types_agree:", "if config.x2 <= n < config.x1:",
            ("tests/test_prediction.py",)),
-    Mutant("the zero-sign fallback dropped", "src/attackcf/report.py",
-           "if similarity == 0 and len(set(map(copysign, repeat(1.0), map(itemgetter(3), run)))) > 1:",
-           "if False:",
-           ("tests/test_report.py",)),
     # the distance bound only prunes: a looser bound or none gives the same
     # paths, more slowly (up to +36 % on the paper topology at L = 10), and no
     # test counts the DFS's work yet

@@ -217,24 +217,6 @@ _PREDICT_LEVELS = {
 }
 
 
-def format_prediction_report_reference(report):
-    """The prediction report's text, one f-string per row."""
-    tokens = {level: token for token, level in _PREDICT_LEVELS.items()}
-    cfg = report.config_echo
-    lines = [
-        "# attackcf predict v1",
-        f"# thresholds x1={cfg.x1} x2={cfg.x2} x3={cfg.x3} x4={cfg.x4}",
-        f"# n_predictions={len(report.predictions)}",
-        "src,dst,level,co_rated,similarity,degenerate",
-    ]
-    lines += [
-        f"{src},{dst},{tokens[level]},{co_rated},"
-        f"{similarity!r},{'true' if degenerate else 'false'}"
-        for src, dst, level, similarity, co_rated, degenerate in report.predictions
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _parse_prediction_row(line):
     fields = line.split(",")
     if len(fields) != 6:
